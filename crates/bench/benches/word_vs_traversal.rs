@@ -20,9 +20,8 @@ use biorank_bench::abcc8_case;
 use biorank_graph::generate::{self, WorkflowParams};
 use biorank_graph::QueryGraph;
 use biorank_rank::{
-    plan, run_fused, AdaptiveRunner, ClosedReliability, CostModel, Estimator, FusedJob,
-    FusedPolicy, GraphFeatures, NaiveMc, PlanFeatures, Ranker, ReducedMc, Strategy, TraversalMc,
-    TrialsPolicy, WordMc,
+    plan, AdaptiveRunner, ClosedReliability, CostModel, Estimator, GraphFeatures, NaiveMc,
+    PlanFeatures, Ranker, ReducedMc, Strategy, TraversalMc, TrialsPolicy, WordMc,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -226,70 +225,5 @@ fn word_vs_traversal(c: &mut Criterion) {
     group.finish();
 }
 
-/// Multi-query fusion: `jobs` concurrent 10⁴-trial word queries on one
-/// resident CSR as a single `run_fused` sweep, vs the same jobs run
-/// back-to-back as solo engines. `ns_per_iter` is the whole sweep;
-/// divide by `jobs` for per-query cost — the fusion win is that cost
-/// falling as lanes fill with batches from different queries.
-fn fused(c: &mut Criterion) {
-    let case = abcc8_case();
-    let abcc8 = &case.result.query;
-    let workflow = generate::layered_workflow(&WorkflowParams::default(), 8);
-    let mut group = c.benchmark_group("fused");
-    group.sample_size(15);
-
-    for (label, q, jobs) in [
-        ("abcc8_x1", abcc8, 1u64),
-        ("abcc8_x2", abcc8, 2),
-        ("abcc8_x8", abcc8, 8),
-        ("workflow_x4", &workflow, 4),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let initial = (0..jobs)
-                    .map(|i| {
-                        (
-                            i,
-                            FusedJob {
-                                seed: i + 1,
-                                trials: 10_000,
-                                policy: FusedPolicy::Fixed,
-                                deadline: None,
-                            },
-                        )
-                    })
-                    .collect();
-                let mut outs = 0usize;
-                run_fused::<LANES>(
-                    black_box(q),
-                    initial,
-                    Vec::new,
-                    |_, res| {
-                        res.expect("fused scores");
-                        outs += 1;
-                    },
-                    |_| {},
-                );
-                outs
-            });
-            b.metric("jobs", jobs as f64);
-            b.metric("lanes", LANES as f64);
-        });
-        // The unfused baseline: the same jobs as sequential solo runs.
-        group.bench_function(&format!("{label}_solo"), |b| {
-            b.iter(|| {
-                for i in 0..jobs {
-                    WordMc::<LANES>::wide(10_000, i + 1)
-                        .score(black_box(q))
-                        .expect("scores");
-                }
-            });
-            b.metric("jobs", jobs as f64);
-            b.metric("lanes", LANES as f64);
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, word_vs_traversal, fused);
+criterion_group!(benches, word_vs_traversal);
 criterion_main!(benches);

@@ -17,7 +17,7 @@ pub struct QueryGraph {
     source: NodeId,
     answers: Vec<NodeId>,
     /// Lazily built CSR snapshot of the live subgraph, shared by every
-    /// estimator batch and fused sweep against this query. Invalidated
+    /// estimator run against this query. Invalidated
     /// by any mutation ([`QueryGraph::graph_mut`], [`QueryGraph::prune`]);
     /// never serialized.
     #[serde(skip)]
@@ -69,8 +69,8 @@ impl QueryGraph {
     }
 
     /// The CSR snapshot of the live subgraph, built on first use and
-    /// shared (via `Arc`) across estimator batches, worker threads, and
-    /// fused sweeps until the graph is next mutated.
+    /// shared (via `Arc`) across estimator runs and worker threads
+    /// until the graph is next mutated.
     pub fn csr(&self) -> Arc<CsrGraph> {
         Arc::clone(
             self.csr

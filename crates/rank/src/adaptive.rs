@@ -48,7 +48,7 @@
 
 use biorank_graph::QueryGraph;
 
-use crate::estimator::Estimator;
+use crate::estimator::{run_batches, BatchStats, Estimator};
 use crate::{bounds, Error, Scores};
 
 /// Which ranking contract a [`Certificate`] asserts.
@@ -97,10 +97,10 @@ pub struct AdaptiveOutcome {
     pub scores: Scores,
     /// How and why the run stopped.
     pub certificate: Certificate,
-    /// Wall-clock nanoseconds spent inside estimator batches
-    /// (`begin` + every `step`). Timing observes the run; it never
-    /// feeds back into the sample schedule, so the bit-identity
-    /// contract is untouched.
+    /// Wall-clock nanoseconds of the run outside its certification
+    /// polls (`begin` + every `step`, and whatever ran between them).
+    /// Timing observes the run; it never feeds back into the sample
+    /// schedule, so the bit-identity contract is untouched.
     pub step_nanos: u64,
     /// Wall-clock nanoseconds spent in certification polls (the
     /// sorted-gap checks between batches).
@@ -153,13 +153,13 @@ impl<E: Estimator> AdaptiveRunner<E> {
     }
 
     /// Aborts the run with [`Error::DeadlineExceeded`] once `deadline`
-    /// passes. The check sits *between* estimator batches, next to the
-    /// certification poll: a run that completes (certifies or hits its
-    /// ceiling) before the deadline executes the exact same sample
-    /// schedule as an undeadlined run, so bit-identity is preserved —
-    /// the deadline can only cut a run short, never reshape it. The
-    /// error carries the trials completed so callers can report
-    /// partial-trial telemetry.
+    /// passes, under [`run_batches`]' deadline rule: polled between
+    /// batches after the certification check, never after the final
+    /// batch. A run that completes (certifies or hits its ceiling)
+    /// executes the exact same sample schedule as an undeadlined run,
+    /// so bit-identity is preserved — the deadline can only cut a run
+    /// short, never reshape it. The error carries the trials completed
+    /// so callers can report partial-trial telemetry.
     pub fn with_deadline(mut self, deadline: std::time::Instant) -> Self {
         self.deadline = Some(deadline);
         self
@@ -172,47 +172,59 @@ impl<E: Estimator> AdaptiveRunner<E> {
 
     /// Runs batches until the ranking certifies or the ceiling hits.
     pub fn run(&self, q: &QueryGraph) -> Result<AdaptiveOutcome, Error> {
-        validate_params(self.epsilon, self.delta)?;
+        self.run_observed(q, |_| {})
+    }
+
+    /// [`run`](Self::run), calling `observe` after every batch, before
+    /// the certification poll (its time is not poll time).
+    pub fn run_observed(
+        &self,
+        q: &QueryGraph,
+        mut observe: impl FnMut(BatchStats),
+    ) -> Result<AdaptiveOutcome, Error> {
+        for (name, value) in [("epsilon", self.epsilon), ("delta", self.delta)] {
+            if !(value > 0.0 && value < 1.0) {
+                return Err(Error::InvalidParameter { name, value });
+            }
+        }
         let answers = q.answers();
-        let (checked_gaps, mode) = checked_gaps_and_mode(answers.len(), self.top_k);
-        let step_start = std::time::Instant::now();
-        let mut state = self.engine.begin(q)?;
-        let mut step_nanos = step_start.elapsed().as_nanos() as u64;
-        let mut poll_nanos = 0u64;
+        // Leading sorted-estimate gaps the stopping rule must resolve:
+        // all `len − 1` for full certification; the k − 1 prefix gaps
+        // plus the boundary gap (= k) for top-k.
+        let full_gaps = answers.len().saturating_sub(1);
+        let checked_gaps = match self.top_k {
+            Some(k) => k.min(full_gaps),
+            None => full_gaps,
+        };
+        // Checking every gap IS full certification, whatever k the
+        // caller spelled it with — stamping it Full lets the result
+        // satisfy full-coverage consumers (e.g. cache reuse) without
+        // a bit-identical re-run.
+        let mode = match self.top_k {
+            Some(k) if checked_gaps < full_gaps => CertificateMode::TopK(k as u32),
+            _ => CertificateMode::Full,
+        };
         // The estimate buffer is reused across every 64-trial batch:
         // the certification poll is allocation-free after the first
         // step (the engine-side trial scratch — mask words, visit
         // stamps — already lives for the whole run inside the state).
         let mut est: Vec<f64> = Vec::with_capacity(answers.len());
-        let mut trials_used = 0;
-        let mut certified = false;
-        for b in 0..self.engine.num_batches() {
-            let step_start = std::time::Instant::now();
-            let stats = self.engine.step(&mut state, b);
-            step_nanos += step_start.elapsed().as_nanos() as u64;
-            trials_used = stats.total_trials;
+        let run_start = std::time::Instant::now();
+        let mut poll_nanos = 0u64;
+        let run = run_batches(&self.engine, q, self.deadline, |state, stats| {
+            observe(stats);
             let poll_start = std::time::Instant::now();
-            let done = self.certifies(&state, answers, checked_gaps, &mut est, trials_used);
+            let done = self.certifies(state, answers, checked_gaps, &mut est, stats.total_trials);
             poll_nanos += poll_start.elapsed().as_nanos() as u64;
-            if done {
-                certified = true;
-                break;
-            }
-            // Deadline poll AFTER the certification check: a batch that
-            // certifies on time is never discarded by a deadline that
-            // fired during its poll.
-            if let Some(deadline) = self.deadline {
-                if std::time::Instant::now() > deadline {
-                    return Err(Error::DeadlineExceeded { trials_used });
-                }
-            }
-        }
+            done
+        })?;
+        let step_nanos = (run_start.elapsed().as_nanos() as u64).saturating_sub(poll_nanos);
         Ok(AdaptiveOutcome {
-            scores: self.engine.finish(state),
+            scores: run.scores,
             certificate: Certificate {
-                trials_used,
-                epsilon: bounds::resolvable_epsilon(u64::from(trials_used), self.delta)?,
-                certified,
+                trials_used: run.trials_used,
+                epsilon: bounds::resolvable_epsilon(u64::from(run.trials_used), self.delta)?,
+                certified: run.stopped,
                 mode,
             },
             step_nanos,
@@ -243,68 +255,12 @@ impl<E: Estimator> AdaptiveRunner<E> {
         // Per-answer estimates only — polling the full node-bound
         // snapshot every 64 trials would dominate the check.
         self.engine.estimates_into(state, answers, est);
-        sorted_gaps_certified(est, checked_gaps, self.epsilon, self.delta, trials)
+        est.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+        est.windows(2).take(checked_gaps).all(|w| {
+            let gap = w[0] - w[1];
+            gap < self.epsilon || bounds::resolves(gap, self.delta, u64::from(trials))
+        })
     }
-}
-
-/// Rejects an (ε, δ) pair outside `(0, 1)`.
-///
-/// Shared by [`AdaptiveRunner::run`] and the fused multi-query runner
-/// ([`crate::fused`]), which admits each job's parameters
-/// independently.
-pub(crate) fn validate_params(epsilon: f64, delta: f64) -> Result<(), Error> {
-    for (name, value) in [("epsilon", epsilon), ("delta", delta)] {
-        if !(value > 0.0 && value < 1.0) {
-            return Err(Error::InvalidParameter { name, value });
-        }
-    }
-    Ok(())
-}
-
-/// How many leading sorted-estimate gaps the stopping rule must
-/// resolve, and the certificate mode that contract is stamped with:
-/// all `answers − 1` gaps for full certification; the `k − 1` prefix
-/// gaps plus the boundary gap (= `k`) for top-k. Checking every gap IS
-/// full certification, whatever `k` the caller spelled it with —
-/// stamping it `Full` lets the result satisfy full-coverage consumers
-/// (e.g. cache reuse) without a bit-identical re-run.
-pub(crate) fn checked_gaps_and_mode(
-    answers: usize,
-    top_k: Option<usize>,
-) -> (usize, CertificateMode) {
-    let full_gaps = answers.saturating_sub(1);
-    let checked_gaps = match top_k {
-        Some(k) => k.min(full_gaps),
-        None => full_gaps,
-    };
-    let mode = match top_k {
-        Some(k) if checked_gaps < full_gaps => CertificateMode::TopK(k as u32),
-        _ => CertificateMode::Full,
-    };
-    (checked_gaps, mode)
-}
-
-/// The certification predicate over one poll's answer estimates:
-/// sorts `est` descending in place, then requires each of the leading
-/// `checked_gaps` adjacent gaps to be resolved by `trials` trials or
-/// excused by the ε floor. "Gap `g` is resolved by `n` trials" is
-/// checked directly as `n ≥ trials_needed(g, δ)` ([`bounds::resolves`])
-/// — equivalent to `g ≥ resolvable_epsilon(n, δ)` by monotonicity, but
-/// one cheap closed-form evaluation per gap instead of a 200-step
-/// bisection per batch (the bisection runs once, at the end, to stamp
-/// the certificate).
-pub(crate) fn sorted_gaps_certified(
-    est: &mut [f64],
-    checked_gaps: usize,
-    epsilon: f64,
-    delta: f64,
-    trials: u32,
-) -> bool {
-    est.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    est.windows(2).take(checked_gaps).all(|w| {
-        let gap = w[0] - w[1];
-        gap < epsilon || bounds::resolves(gap, delta, u64::from(trials))
-    })
 }
 
 #[cfg(test)]
@@ -561,6 +517,29 @@ mod tests {
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         assert!(err.to_string().contains("deadline_exceeded"));
+    }
+
+    #[test]
+    fn deadline_past_at_the_final_batch_still_lands() {
+        // The other half of the deadline rule: no poll after the final
+        // batch, so a run that spent its whole budget lands however
+        // late — here one batch under a deadline already past, through
+        // the fixed entry point and the adaptive runner (on a gap 64
+        // trials cannot certify: the ceiling, not an early stop).
+        let q = tied_pair(true);
+        let deadline = std::time::Instant::now() - std::time::Duration::from_millis(1);
+        let fixed = run_batches(&WordMc::new(64, 5), &q, Some(deadline), |_, _| false).unwrap();
+        assert_eq!(fixed.trials_used, 64);
+        assert_eq!(
+            fixed.scores.as_slice(),
+            WordMc::new(64, 5).score(&q).unwrap().as_slice()
+        );
+        let out = AdaptiveRunner::new(WordMc::new(64, 5), 0.001, 0.001)
+            .with_deadline(deadline)
+            .run(&q)
+            .unwrap();
+        assert!(!out.certificate.certified);
+        assert_eq!(out.certificate.trials_used, 64);
     }
 
     #[test]

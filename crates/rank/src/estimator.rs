@@ -118,15 +118,62 @@ pub trait Estimator {
         self.trials().div_ceil(BATCH_TRIALS)
     }
 
-    /// The default driver: a complete fixed-trial run through the
-    /// incremental protocol.
+    /// The default driver: a complete fixed-trial run through
+    /// [`run_batches`] — no deadline, never stopped early.
     fn drive(&self, q: &QueryGraph) -> Result<Scores, Error> {
-        let mut state = self.begin(q)?;
-        for b in 0..self.num_batches() {
-            self.step(&mut state, b);
-        }
-        Ok(self.finish(state))
+        run_batches(self, q, None, |_, _| false).map(|run| run.scores)
     }
+}
+
+/// What one [`run_batches`] call hands back.
+#[derive(Clone, Debug)]
+pub struct BatchRun {
+    /// Final estimates, normalized by `trials_used`.
+    pub scores: Scores,
+    /// Trials executed: the whole budget unless the run was `stopped`.
+    pub trials_used: u32,
+    /// `true` when the after-batch hook ended the run.
+    pub stopped: bool,
+}
+
+/// The one batch loop every incremental run goes through:
+/// `begin → (step → after-batch hook → deadline poll)* → finish`.
+/// `after_batch` returns `true` to stop the run at the batch it was
+/// just shown — [`Estimator::drive`] never does,
+/// [`AdaptiveRunner`](crate::AdaptiveRunner) does when it certifies.
+///
+/// **Deadline rule.** Once `deadline` passes the run aborts with
+/// [`Error::DeadlineExceeded`] carrying the trials completed. The poll
+/// sits *after* the hook and is skipped after the final batch: a batch
+/// that stops the run on time is never discarded by a deadline that
+/// fired during its poll, and a run that has executed its whole budget
+/// lands. A deadline can only cut a run short, never reshape it.
+pub fn run_batches<'q, E: Estimator + ?Sized>(
+    engine: &E,
+    q: &'q QueryGraph,
+    deadline: Option<std::time::Instant>,
+    mut after_batch: impl FnMut(&E::State<'q>, BatchStats) -> bool,
+) -> Result<BatchRun, Error> {
+    let mut state = engine.begin(q)?;
+    let num_batches = engine.num_batches();
+    let mut trials_used = 0;
+    let mut stopped = false;
+    for b in 0..num_batches {
+        let stats = engine.step(&mut state, b);
+        trials_used = stats.total_trials;
+        if after_batch(&state, stats) {
+            stopped = true;
+            break;
+        }
+        if b + 1 < num_batches && deadline.is_some_and(|d| std::time::Instant::now() > d) {
+            return Err(Error::DeadlineExceeded { trials_used });
+        }
+    }
+    Ok(BatchRun {
+        scores: engine.finish(state),
+        trials_used,
+        stopped,
+    })
 }
 
 /// Runs `units` independent count-producing work units on up to
@@ -212,6 +259,9 @@ mod tests {
             );
             let word = WordMc::new(trials, 5);
             assert_bit_identical(&word.drive(&q).unwrap(), &word.score(&q).unwrap(), "word");
+            // The 8-lane engine the service steps batch by batch.
+            let wide = WordMc::<8>::wide(trials, 5);
+            assert_bit_identical(&wide.drive(&q).unwrap(), &word.score(&q).unwrap(), "wide");
             let naive = NaiveMc::new(trials, 5);
             assert_bit_identical(
                 &naive.drive(&q).unwrap(),

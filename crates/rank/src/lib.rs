@@ -51,7 +51,6 @@ mod diffusion;
 pub mod estimator;
 pub mod explain;
 pub mod features;
-pub mod fused;
 mod mc;
 pub mod planner;
 mod propagation;
@@ -64,9 +63,8 @@ mod word;
 pub use adaptive::{AdaptiveOutcome, AdaptiveRunner, Certificate, CertificateMode};
 pub use deterministic::{InEdge, PathCount};
 pub use diffusion::{Diffusion, InnerSolver};
-pub use estimator::{BatchStats, Estimator, BATCH_TRIALS};
+pub use estimator::{run_batches, BatchRun, BatchStats, Estimator, BATCH_TRIALS};
 pub use features::{GraphFeatures, PlanFeatures, TrialsPolicy};
-pub use fused::{run_fused, FusedBlockStats, FusedJob, FusedOutcome, FusedPolicy};
 pub use mc::{McState, NaiveMc, NaiveState, TraversalMc};
 pub use planner::{plan, CalibrationInput, CostModel, Plan, Strategy, StrategyTelemetry};
 pub use propagation::Propagation;

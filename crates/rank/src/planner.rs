@@ -32,7 +32,7 @@ pub enum Strategy {
     /// ([`crate::ReducedMc`], the paper's R&M configuration).
     ReducedMc,
     /// Word-parallel Monte Carlo, 64 trials per machine word
-    /// ([`crate::WordMc`]) — solo or fused into a concurrent sweep.
+    /// ([`crate::WordMc`]).
     WordMc,
     /// Per-trial traversal Monte Carlo ([`crate::TraversalMc`], the
     /// paper's reference engine M).

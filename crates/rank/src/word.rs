@@ -149,7 +149,7 @@ impl<const W: usize> WordMc<W> {
 }
 
 /// Maps dense CSR reach counts back onto original node ids as scores.
-pub(crate) fn project(csr: &CsrGraph, counts: &[u64], trials: u32, node_bound: usize) -> Scores {
+fn project(csr: &CsrGraph, counts: &[u64], trials: u32, node_bound: usize) -> Scores {
     let n = f64::from(trials.max(1));
     let mut scores = Scores::zeroed(node_bound);
     for (i, &c) in counts.iter().enumerate() {
@@ -162,8 +162,8 @@ pub(crate) fn project(csr: &CsrGraph, counts: &[u64], trials: u32, node_bound: u
 ///
 /// Runs lease their mask/reach/popcount buffers here and return them
 /// on drop, so repeated queries on a warm thread never touch the
-/// allocator: the service's fusion sweeps and the adaptive runner both
-/// churn through engines at query rate.
+/// allocator: the service starts a fresh engine run for every query
+/// it computes.
 mod arena {
     use std::cell::RefCell;
 
@@ -195,12 +195,12 @@ mod arena {
 /// with their fixed-point thresholds precomputed; certain-present
 /// elements are prefilled `!0` once per scratch and certain-absent
 /// ones stay zero.
-pub(crate) struct WidePlan {
-    pub(crate) csr: Arc<CsrGraph>,
+struct WidePlan {
+    csr: Arc<CsrGraph>,
     /// Node count: node mask slots are `0..n`, edge slots `n..n + e`.
-    pub(crate) n: usize,
+    n: usize,
     /// Edge count.
-    pub(crate) e: usize,
+    e: usize,
     /// Sweep position of the query source node.
     source_pos: usize,
     /// `(mask slot, ⌊p·2³²⌋)` per uncertain element, pinned draw order.
@@ -210,7 +210,7 @@ pub(crate) struct WidePlan {
 }
 
 impl WidePlan {
-    pub(crate) fn new(csr: Arc<CsrGraph>, source_dense: u32) -> WidePlan {
+    fn new(csr: Arc<CsrGraph>, source_dense: u32) -> WidePlan {
         let layout = csr.topo_layout();
         let n = csr.node_count();
         let e = csr.edge_count();
@@ -247,7 +247,7 @@ impl WidePlan {
 /// thread-local arena. Lane `l` of mask slot `s` is word `s·W + l`,
 /// so a propagation step reads each block as one contiguous
 /// `[u64; W]`.
-pub(crate) struct WideScratch<const W: usize> {
+struct WideScratch<const W: usize> {
     /// Element inclusion masks: `(n + e)·W` words, certain slots
     /// prefilled.
     masks: Vec<u64>,
@@ -259,7 +259,7 @@ pub(crate) struct WideScratch<const W: usize> {
 }
 
 impl<const W: usize> WideScratch<W> {
-    pub(crate) fn for_plan(plan: &WidePlan) -> WideScratch<W> {
+    fn for_plan(plan: &WidePlan) -> WideScratch<W> {
         let mut masks = arena::lease((plan.n + plan.e) * W);
         for &slot in &plan.certain {
             let base = slot as usize * W;
@@ -286,7 +286,7 @@ impl<const W: usize> Drop for WideScratch<W> {
 ///
 /// The draw order and per-element word consumption are exactly the
 /// 1-lane engine's, so the lane reproduces that batch bit for bit.
-pub(crate) fn draw_lane<const W: usize>(
+fn draw_lane<const W: usize>(
     plan: &WidePlan,
     scratch: &mut WideScratch<W>,
     lane: usize,
@@ -305,7 +305,7 @@ pub(crate) fn draw_lane<const W: usize>(
 /// low-bit prefix for the schedule's partial final batch, `0` for an
 /// idle lane (its stale masks are harmless — reach only flows from
 /// the source, so a zeroed source lane is zero everywhere).
-pub(crate) fn propagate_block<const W: usize>(
+fn propagate_block<const W: usize>(
     plan: &WidePlan,
     scratch: &mut WideScratch<W>,
     valid: &[u64; W],
@@ -377,7 +377,7 @@ pub(crate) fn propagate_block<const W: usize>(
 }
 
 /// Adds lane `lane`'s banked popcounts into `counts` (dense indexing).
-pub(crate) fn fold_lane<const W: usize>(
+fn fold_lane<const W: usize>(
     plan: &WidePlan,
     scratch: &WideScratch<W>,
     lane: usize,
@@ -391,7 +391,7 @@ pub(crate) fn fold_lane<const W: usize>(
 
 /// The source-gating mask of batch `batch` under a total budget of
 /// `trials`: all-ones except for the schedule's partial final batch.
-pub(crate) fn batch_valid(batch: u32, trials: u32) -> u64 {
+fn batch_valid(batch: u32, trials: u32) -> u64 {
     let last = trials.div_ceil(BATCH) - 1;
     match trials % BATCH {
         rem if rem != 0 && batch == last => !0u64 >> (BATCH - rem),
@@ -592,7 +592,7 @@ fn bernoulli_word_pfx(rng: &mut StdRng, pfx: u64) -> u64 {
 /// depends only on `(seed, b)` — while making stream collisions
 /// hash-unlikely instead of systematic.
 #[inline]
-pub(crate) fn batch_seed(seed: u64, b: u32) -> u64 {
+fn batch_seed(seed: u64, b: u32) -> u64 {
     let mut z = seed ^ u64::from(b).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

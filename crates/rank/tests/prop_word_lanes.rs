@@ -1,9 +1,9 @@
-//! Bit-identity proofs for the wide-lane word engine and fused sweeps.
+//! Bit-identity proofs for the wide-lane word engine.
 //!
 //! The whole wide-lane design rests on one contract: batch `b` of a
 //! `(trials, seed)` schedule draws from the RNG stream keyed
-//! `(seed, b)` no matter which lane of which block — of whose sweep —
-//! executes it. These tests pin that contract three ways:
+//! `(seed, b)` no matter which lane of which block executes it. These
+//! tests pin that contract two ways:
 //!
 //! 1. **Golden bits** — score hashes, adaptive trial counts, and
 //!    certificates recorded from the pre-widening single-mask engine;
@@ -13,15 +13,10 @@
 //!    `WordMc<1>`, `WordMc<4>`, and `WordMc<8>` (serial or under any
 //!    thread count) produce byte-identical scores and identical
 //!    adaptive certificates.
-//! 3. **Fusion properties** — `run_fused` over a batch of jobs
-//!    returns, per job, exactly the bytes and certificate its solo
-//!    execution returns.
 
 use biorank_graph::generate::{self, WorkflowParams};
 use biorank_graph::{NodeId, Prob, ProbGraph, QueryGraph};
-use biorank_rank::{
-    run_fused, AdaptiveRunner, Certificate, FusedJob, FusedOutcome, FusedPolicy, Ranker, WordMc,
-};
+use biorank_rank::{AdaptiveRunner, Ranker, WordMc};
 use proptest::prelude::*;
 
 fn p(v: f64) -> Prob {
@@ -231,23 +226,6 @@ fn small_dag() -> impl Strategy<Value = QueryGraph> {
         })
 }
 
-fn solo_fused(q: &QueryGraph, jobs: &[FusedJob]) -> Vec<FusedOutcome> {
-    let mut results: Vec<Option<FusedOutcome>> = vec![None; jobs.len()];
-    let initial = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, &j)| (i as u64, j))
-        .collect();
-    run_fused::<8>(
-        q,
-        initial,
-        Vec::new,
-        |id, res| results[id as usize] = Some(res.expect("valid job")),
-        |_| {},
-    );
-    results.into_iter().map(|r| r.unwrap()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -286,60 +264,5 @@ proptest! {
         let wide = adaptive_run(WordMc::<8>::wide(2048, seed), 0.05, top_k, &q);
         prop_assert_eq!(wide.certificate, base.certificate);
         prop_assert_eq!(fnv(wide.scores.as_slice()), fnv(base.scores.as_slice()));
-    }
-
-    /// A fused sweep is invisible per job: each job's scores,
-    /// trials-used, and certificate equal its solo execution's, even
-    /// though the jobs shared propagation blocks.
-    #[test]
-    fn fused_jobs_match_solo_runs_bit_for_bit(
-        q in small_dag(),
-        seeds in proptest::collection::vec(0u64..=u64::MAX, 2..=5),
-    ) {
-        let jobs: Vec<FusedJob> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &seed)| FusedJob {
-                seed,
-                trials: 64 + 97 * i as u32,
-                policy: if i % 2 == 0 {
-                    FusedPolicy::Fixed
-                } else {
-                    FusedPolicy::Adaptive { epsilon: 0.05, delta: 0.05, top_k: None }
-                },
-                deadline: None,
-            })
-            .collect();
-        let fused = solo_fused(&q, &jobs);
-        for (job, out) in jobs.iter().zip(&fused) {
-            match job.policy {
-                FusedPolicy::Fixed => {
-                    let solo = WordMc::new(job.trials, job.seed).score(&q).unwrap();
-                    prop_assert_eq!(
-                        fnv(out.scores.as_slice()),
-                        fnv(solo.as_slice()),
-                        "fixed job (seed {}) drifted under fusion", job.seed
-                    );
-                    prop_assert_eq!(out.trials_used, job.trials);
-                    prop_assert_eq!(out.certificate, None::<Certificate>);
-                }
-                FusedPolicy::Adaptive { epsilon, delta, top_k } => {
-                    let mut runner = AdaptiveRunner::new(
-                        WordMc::new(job.trials, job.seed), epsilon, delta,
-                    );
-                    if let Some(k) = top_k {
-                        runner = runner.with_top_k(k);
-                    }
-                    let solo = runner.run(&q).unwrap();
-                    prop_assert_eq!(
-                        fnv(out.scores.as_slice()),
-                        fnv(solo.scores.as_slice()),
-                        "adaptive job (seed {}) drifted under fusion", job.seed
-                    );
-                    prop_assert_eq!(out.certificate, Some(solo.certificate));
-                    prop_assert_eq!(out.trials_used, solo.certificate.trials_used);
-                }
-            }
-        }
     }
 }

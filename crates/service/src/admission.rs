@@ -24,7 +24,7 @@
 //!   branch on an `Option`; enabled it can delay accepts, delay /
 //!   blackhole / truncate responses, close connections early, and
 //!   stall estimator batches (via the process-global
-//!   [`maybe_stall_batch`] hook polled from the fused sweep loop).
+//!   [`maybe_stall_batch`] hook polled from the Monte Carlo batch loop).
 
 use std::io::Read;
 use std::net::TcpStream;
@@ -307,8 +307,8 @@ pub struct FaultPlan {
     /// Close the connection's write side after this many complete
     /// responses; 0 disables (`close_after=N`).
     pub close_after: u64,
-    /// Stall every fused estimator batch by this long, process-wide —
-    /// the lever that makes a deadline fire mid-estimate
+    /// Stall every estimator block (`FUSION_LANES` batches) by this long,
+    /// process-wide — the lever that makes a deadline fire mid-estimate
     /// (`stall_batch_ms=N`; see [`maybe_stall_batch`]).
     pub stall_batch_ms: u64,
 }
@@ -352,7 +352,7 @@ impl FaultPlan {
 /// Process-global estimator stall, in nanoseconds. A process-global
 /// (rather than a field threaded through `WorldManager` into every
 /// engine) keeps the fault layer invisible to the query path's types;
-/// the cost when disabled is one relaxed load per fused batch.
+/// the cost when disabled is one relaxed load per estimator block.
 static STALL_BATCH_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Installs (or, with 0, clears) the process-wide per-batch estimator
@@ -362,8 +362,8 @@ pub fn set_stall_batch_ms(ms: u64) {
 }
 
 /// The estimator-side fault hook: sleeps for the configured stall (a
-/// no-op when none is installed). The engine polls this between fused
-/// propagation batches.
+/// no-op when none is installed). Every sequential Monte Carlo run
+/// polls it after each `FUSION_LANES`-th batch, fixed or adaptive.
 pub fn maybe_stall_batch() {
     let ns = STALL_BATCH_NS.load(Ordering::Relaxed);
     if ns > 0 {

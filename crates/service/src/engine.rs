@@ -11,28 +11,20 @@
 //!    answers`: an identical query+ranker pair is answered without
 //!    scoring at all.
 //!
-//! Below the caches sit two concurrency collapses, both invisible on
-//! the wire:
-//!
-//! - **Single-flight** — concurrent misses on the same result key
-//!   elect one leader; followers block, then serve the leader's
-//!   freshly cached entry (`queries.coalesced` counts them).
-//! - **Fusion sweeps** — concurrent word-estimator Monte Carlo jobs
-//!   on the same exploratory query (same resident CSR) share one
-//!   [`run_fused`] multi-query sweep: each job owns a lane group of
-//!   the [`FUSION_LANES`]-wide propagation blocks, and counts demux
-//!   per job. `fusion.{batches,lanes_used}` and the `fusion_width`
-//!   histogram record the sharing.
+//! Below the caches sits one concurrency collapse, invisible on the
+//! wire: **single-flight** — concurrent misses on the same result key
+//! elect one leader; followers block, then serve the leader's freshly
+//! cached entry (`queries.coalesced` counts them). A miss is scored by
+//! the function [`QueryEngine::execute_uncached`] calls.
 //!
 //! Determinism is load-bearing: Monte Carlo rankers are seeded from
 //! `mix(spec.seed, fnv1a(query))`, a value derived only from request
 //! *content*, never from arrival order or worker identity. A batch
 //! therefore produces bit-identical rankings on one worker and on N,
 //! and a cache hit returns exactly what recomputation would. Lane
-//! widening and fusion preserve this bit-for-bit: batch `b` of a job
-//! draws from the stream keyed `(seed, b)` no matter which lane of
-//! whose block executes it, so a fused response is byte-identical to
-//! the same request computed alone.
+//! widening preserves this bit-for-bit: batch `b` of a run draws from
+//! the stream keyed `(seed, b)` no matter which lane of which block
+//! executes it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,8 +34,8 @@ use std::time::{Duration, Instant};
 use biorank_mediator::{ExploratoryQuery, IntegrationResult, Mediator};
 use biorank_obs::{MetricsRegistry, MetricsSnapshot, TraceRecorder, TraceSpan};
 use biorank_rank::{
-    run_fused, AdaptiveRunner, CalibrationInput, Certificate, CertificateMode, ClosedReliability,
-    CostModel, Diffusion, FusedJob, FusedOutcome, FusedPolicy, GraphFeatures, InEdge, PathCount,
+    run_batches, AdaptiveOutcome, AdaptiveRunner, BatchStats, CalibrationInput, Certificate,
+    CertificateMode, ClosedReliability, CostModel, Diffusion, GraphFeatures, InEdge, PathCount,
     Plan, PlanFeatures, Propagation, Ranker, Ranking, ReducedMc, Scores, Strategy,
     StrategyTelemetry, TraversalMc, TrialsPolicy, WordMc,
 };
@@ -256,9 +248,9 @@ pub struct RankerSpec {
     /// trials run as [`PARALLEL_MC_CHUNKS`] fixed RNG streams spread
     /// over OS threads, so the estimate depends only on request
     /// content — never on the thread count — and stays cache-coherent
-    /// with repeated parallel executions. Under the word estimator
-    /// the flag spreads trial batches over threads without changing a
-    /// single output bit. Other methods ignore the flag.
+    /// with repeated parallel executions. The word estimator (every
+    /// thread split of it is bit-identical to the sequential run the
+    /// service does) and the other methods ignore the flag.
     pub parallel: bool,
     /// Which Monte Carlo engine runs a [`Method::TraversalMc`]
     /// request. `None` means "unspecified": a server applies its
@@ -404,12 +396,11 @@ impl RankerSpec {
         }
     }
 
-    /// Builds the ranker for one fixed-trial (or deterministic) query.
-    /// Adaptive Monte Carlo executions go through
-    /// [`biorank_rank::AdaptiveRunner`] instead (they return a
-    /// certificate, which the `Ranker` interface cannot carry); for a
-    /// stochastic method with an adaptive policy this builds the
-    /// ceiling-trials fixed engine.
+    /// Builds the ranker for one fixed-trial (or deterministic) query
+    /// — under an adaptive policy, the ceiling-trials fixed engine.
+    /// The engine itself scores only deterministic methods this way:
+    /// Monte Carlo runs go through the batch loop, which can carry a
+    /// deadline and a certificate the `Ranker` interface cannot.
     pub fn build(&self, query: &ExploratoryQuery) -> Box<dyn Ranker + Send + Sync> {
         let seed = self.effective_seed(query);
         let trials = match self.trials {
@@ -707,11 +698,6 @@ pub struct QueryEngine {
     /// key. Concurrent identical misses block here instead of
     /// recomputing, then serve the leader's cached entry.
     flights: Mutex<HashMap<(ExploratoryQuery, RankerSpec), Arc<Flight>>>,
-    /// Open fusion sweeps, one per exploratory query: word-estimator
-    /// Monte Carlo jobs arriving while a sweep over the same resident
-    /// CSR is running join its lane groups instead of propagating
-    /// alone.
-    sweeps: Mutex<HashMap<ExploratoryQuery, Arc<Sweep>>>,
     /// Structural planner features per integrated query, so repeat
     /// `auto` requests skip re-extraction (and re-integration)
     /// entirely. Same capacity policy as the other cache layers.
@@ -757,49 +743,6 @@ impl Flight {
     }
 }
 
-/// One fused sweep over a query's resident CSR. The leader drives
-/// [`run_fused`]; joiners enqueue a [`FusedJob`] and block until their
-/// result lands (or the sweep closes without serving them, in which
-/// case they retry — typically becoming the next leader).
-///
-/// Lock order: the engine's `sweeps` map lock is always taken before
-/// a sweep's `state` lock; the sweep callbacks take only `state`.
-struct Sweep {
-    state: Mutex<SweepState>,
-    cv: Condvar,
-}
-
-struct SweepState {
-    /// New jobs may still join. Cleared as soon as the leader's own
-    /// job completes, so a leader never drives other queries'
-    /// batches longer than its own request lives.
-    accepting: bool,
-    /// The sweep has returned; queued-but-unserved jobs must retry.
-    closed: bool,
-    /// Next joiner id (the leader owns id 0).
-    next_id: u64,
-    /// Jobs waiting to be dealt into lanes, drained by the sweep's
-    /// `source` callback before every block.
-    queue: Vec<(u64, FusedJob)>,
-    /// Finished joiner results, keyed by id.
-    results: HashMap<u64, Result<FusedOutcome, biorank_rank::Error>>,
-}
-
-impl Sweep {
-    fn new() -> Self {
-        Sweep {
-            state: Mutex::new(SweepState {
-                accepting: true,
-                closed: false,
-                next_id: 1,
-                queue: Vec::new(),
-                results: HashMap::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-}
-
 /// Default number of cached integration results / rankings.
 pub const DEFAULT_CACHE_CAPACITY: usize = 512;
 
@@ -812,11 +755,10 @@ pub const DEFAULT_CACHE_SHARDS: usize = 16;
 /// the scheduling of the chunks follows the hardware.
 pub const PARALLEL_MC_CHUNKS: usize = 8;
 
-/// Lane width of the service's word engines and fusion sweeps: every
-/// propagation block carries 8 × 64 trials. Width never changes
-/// results — batch `b` draws from the stream keyed `(seed, b)`
-/// regardless of lane placement — so this is purely a throughput
-/// knob.
+/// Lane width of the service's word engines: every propagation block
+/// carries 8 × 64 trials. Width never changes results — batch `b`
+/// draws from the stream keyed `(seed, b)` regardless of lane
+/// placement — so this is purely a throughput knob.
 pub const FUSION_LANES: usize = 8;
 
 /// Planned executions between automatic cost-model recalibrations
@@ -853,7 +795,6 @@ impl QueryEngine {
             warmed: Mutex::new(HashSet::new()),
             warmed_remaining: AtomicU64::new(0),
             flights: Mutex::new(HashMap::new()),
-            sweeps: Mutex::new(HashMap::new()),
             features: ShardedLru::new(capacity, DEFAULT_CACHE_SHARDS),
             hints: ComposeHints::none(),
             planner: Mutex::new(CostModel::default()),
@@ -1005,8 +946,7 @@ impl QueryEngine {
 
     /// The miss path of [`execute`](QueryEngine::execute), run under
     /// single-flight leadership of `result_key`: integrate (through
-    /// the graph cache), rank — joining the query's fusion sweep for
-    /// Monte Carlo word jobs — record stage metrics, and publish to
+    /// the graph cache), rank, record stage metrics, and publish to
     /// the result cache.
     fn compute(
         &self,
@@ -1037,7 +977,7 @@ impl QueryEngine {
         // remainder, so the two always sum to the full scoring time.
         let rank_start = Instant::now();
         let (ranked, certify_ns) =
-            self.rank_resident(&integration, &req.query, &req.spec, coverage, deadline)?;
+            Self::rank(&integration, &req.query, &req.spec, coverage, deadline)?;
         let estimate_ns = (rank_start.elapsed().as_nanos() as u64).saturating_sub(certify_ns);
         trace.span("estimate", estimate_ns);
         trace.span("certify", certify_ns);
@@ -1308,176 +1248,6 @@ impl QueryEngine {
         Ok(response)
     }
 
-    /// Scores one resident-world request. Stochastic word-estimator
-    /// jobs — fixed and adaptive alike — are routed through the
-    /// query's fusion sweep, sharing [`FUSION_LANES`]-wide
-    /// propagation blocks with any concurrent word job on the same
-    /// integration; everything else delegates to the stateless
-    /// [`rank`](Self::rank). Either path produces byte-identical
-    /// results: fusion only changes which sweep executes a batch,
-    /// never what the batch draws.
-    fn rank_resident(
-        &self,
-        integration: &IntegrationResult,
-        query: &ExploratoryQuery,
-        spec: &RankerSpec,
-        coverage: Coverage,
-        deadline: Option<Instant>,
-    ) -> Result<(RankedResult, u64), Error> {
-        if spec.method != Method::TraversalMc || spec.resolved_estimator() != Estimator::Word {
-            return Self::rank(integration, query, spec, coverage, deadline);
-        }
-        let job = FusedJob {
-            seed: spec.effective_seed(query),
-            trials: match spec.trials {
-                Trials::Fixed(n) => n,
-                Trials::Adaptive(cfg) => cfg.max_trials,
-            },
-            policy: match spec.trials {
-                Trials::Fixed(_) => FusedPolicy::Fixed,
-                Trials::Adaptive(cfg) => FusedPolicy::Adaptive {
-                    epsilon: cfg.epsilon,
-                    delta: cfg.delta,
-                    top_k: match coverage {
-                        Coverage::TopK(k) => Some(k),
-                        Coverage::Full => None,
-                    },
-                },
-            },
-            deadline,
-        };
-        let outcome = self.run_in_sweep(query, &integration.query, job)?;
-        Ok((
-            Self::ranked_result(integration, &outcome.scores, outcome.certificate),
-            outcome.poll_nanos,
-        ))
-    }
-
-    /// Executes one word job inside the query's fusion sweep: join the
-    /// open sweep if one is accepting, otherwise become the leader and
-    /// drive [`run_fused`] — coalescing any jobs that arrive while it
-    /// runs. A job queued into a sweep that closes before dealing it
-    /// simply retries (becoming the next leader); [`run_fused`]
-    /// guarantees every *dealt* job completes through the sink.
-    fn run_in_sweep(
-        &self,
-        query: &ExploratoryQuery,
-        q: &biorank_graph::QueryGraph,
-        job: FusedJob,
-    ) -> Result<FusedOutcome, Error> {
-        loop {
-            // Ok(sweep) = lead it; Err((sweep, Some(id))) = enqueued as
-            // joiner `id`; Err((sweep, None)) = sweep is draining, wait
-            // for it to close and retry. Map lock before state lock,
-            // always.
-            let role = {
-                let mut sweeps = self.sweeps.lock().expect("sweep map");
-                match sweeps.get(query) {
-                    Some(sweep) => {
-                        let mut state = sweep.state.lock().expect("sweep state");
-                        if state.accepting {
-                            let id = state.next_id;
-                            state.next_id += 1;
-                            state.queue.push((id, job));
-                            Err((Arc::clone(sweep), Some(id)))
-                        } else {
-                            Err((Arc::clone(sweep), None))
-                        }
-                    }
-                    None => {
-                        let sweep = Arc::new(Sweep::new());
-                        sweeps.insert(query.clone(), Arc::clone(&sweep));
-                        Ok(sweep)
-                    }
-                }
-            };
-            match role {
-                Ok(sweep) => return self.lead_sweep(query, q, &sweep, job),
-                Err((sweep, joined)) => {
-                    let mut state = sweep.state.lock().expect("sweep state");
-                    loop {
-                        if let Some(id) = joined {
-                            if let Some(res) = state.results.remove(&id) {
-                                return res.map_err(Error::Rank);
-                            }
-                        }
-                        if state.closed {
-                            break; // never dealt — retry from the top
-                        }
-                        state = sweep.cv.wait(state).expect("sweep state");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drives one fused sweep to completion: the leader's own job
-    /// starts it, the sweep's source callback admits queued joiners
-    /// before every block, and its sink hands each joiner's result
-    /// back through the sweep. Admission stops the moment the
-    /// leader's own job finishes (already-dealt joiners still run to
-    /// completion), and the sweep is closed and unpublished before
-    /// this returns.
-    fn lead_sweep(
-        &self,
-        query: &ExploratoryQuery,
-        q: &biorank_graph::QueryGraph,
-        sweep: &Arc<Sweep>,
-        job: FusedJob,
-    ) -> Result<FusedOutcome, Error> {
-        const LEADER_ID: u64 = 0;
-        let batches = self.metrics.counter("fusion.batches");
-        let lanes_used = self.metrics.counter("fusion.lanes_used");
-        let width = self.metrics.histogram("fusion_width");
-        let mut own = None;
-        run_fused::<FUSION_LANES>(
-            q,
-            vec![(LEADER_ID, job)],
-            || {
-                let mut state = sweep.state.lock().expect("sweep state");
-                if state.accepting {
-                    std::mem::take(&mut state.queue)
-                } else {
-                    Vec::new()
-                }
-            },
-            |id, res| {
-                if id == LEADER_ID {
-                    sweep.state.lock().expect("sweep state").accepting = false;
-                    own = Some(res);
-                } else {
-                    let mut state = sweep.state.lock().expect("sweep state");
-                    state.results.insert(id, res);
-                    drop(state);
-                    sweep.cv.notify_all();
-                }
-            },
-            |stats| {
-                // Fault-injection hook: one relaxed load per batch
-                // when no stall is installed. Sitting in the observe
-                // callback keeps it between batches, where a stalled
-                // job's deadline can fire without perturbing the
-                // sample schedule of jobs that finish on time.
-                crate::admission::maybe_stall_batch();
-                batches.inc();
-                lanes_used.add(u64::from(stats.lanes));
-                width.record(u64::from(stats.jobs));
-            },
-        );
-        {
-            let mut sweeps = self.sweeps.lock().expect("sweep map");
-            if sweeps.get(query).is_some_and(|s| Arc::ptr_eq(s, sweep)) {
-                sweeps.remove(query);
-            }
-            let mut state = sweep.state.lock().expect("sweep state");
-            state.accepting = false;
-            state.closed = true;
-        }
-        sweep.cv.notify_all();
-        own.expect("leader's job completes before its sweep returns")
-            .map_err(Error::Rank)
-    }
-
     /// Turns a score vector (plus optional certificate) into the
     /// cached [`RankedResult`] form, resolving answer keys and labels
     /// against the integration.
@@ -1503,9 +1273,12 @@ impl QueryEngine {
         }
     }
 
-    /// Scores and ranks one request, returning the result plus the
-    /// nanoseconds its adaptive runner spent in certification polls
-    /// (zero for fixed and deterministic executions).
+    /// Scores and ranks one request — the one scoring function behind
+    /// both [`execute`](Self::execute)'s miss path and
+    /// [`execute_uncached`](Self::execute_uncached) — returning the
+    /// result plus the nanoseconds its adaptive runner spent in
+    /// certification polls (zero for fixed and deterministic
+    /// executions).
     fn rank(
         integration: &IntegrationResult,
         query: &ExploratoryQuery,
@@ -1514,15 +1287,28 @@ impl QueryEngine {
         deadline: Option<Instant>,
     ) -> Result<(RankedResult, u64), Error> {
         let q = &integration.query;
+        let mut certificate = None;
         let mut certify_nanos = 0u64;
-        let (scores, certificate) = match spec.trials {
-            // Deterministic methods never sample, so the trial policy
-            // (fixed or adaptive) is irrelevant to them.
-            Trials::Adaptive(cfg) if spec.method.is_stochastic() => {
-                let outcome = run_adaptive_with_deadline(
+        let scores = match spec.trials {
+            // `parallel` survives in the cache key exactly where it
+            // selects the chunked schedule (fixed traversal): chunk
+            // count pinned for determinism, thread budget following
+            // the hardware.
+            Trials::Fixed(trials) if spec.cache_key().parallel => {
+                let threads = std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1);
+                TraversalMc::new(trials, spec.effective_seed(query)).score_chunked(
+                    q,
+                    PARALLEL_MC_CHUNKS,
+                    threads.min(PARALLEL_MC_CHUNKS),
+                )?
+            }
+            trials if spec.method.is_stochastic() => {
+                let run = run_stochastic(
                     spec.method,
                     spec.resolved_estimator(),
-                    cfg,
+                    trials,
                     spec.effective_seed(query),
                     match coverage {
                         Coverage::TopK(k) => Some(k),
@@ -1531,30 +1317,18 @@ impl QueryEngine {
                     deadline,
                     q,
                 )?;
-                certify_nanos = outcome.poll_nanos;
-                (outcome.scores, Some(outcome.certificate))
-            }
-            Trials::Fixed(trials) if spec.method == Method::TraversalMc && spec.parallel => {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                let scores = match spec.resolved_estimator() {
-                    // Traversal: chunk count pinned for determinism,
-                    // thread budget following the hardware.
-                    Estimator::Traversal => TraversalMc::new(trials, spec.effective_seed(query))
-                        .score_chunked(q, PARALLEL_MC_CHUNKS, threads.min(PARALLEL_MC_CHUNKS))?,
-                    // Word: every thread split is bit-identical, so the
-                    // hardware budget needs no pinning at all. (`auto`
-                    // is resolved before execution; unresolved specs
-                    // run the word engine, matching `build`.)
-                    Estimator::Word | Estimator::Auto => {
-                        WordMc::<FUSION_LANES>::wide(trials, spec.effective_seed(query))
-                            .score_parallel(q, threads)?
+                match run {
+                    StochasticRun::Fixed(scores) => scores,
+                    StochasticRun::Adaptive(outcome) => {
+                        certificate = Some(outcome.certificate);
+                        certify_nanos = outcome.poll_nanos;
+                        outcome.scores
                     }
-                };
-                (scores, None)
+                }
             }
-            _ => (spec.build(query).score(q)?, None),
+            // Deterministic methods never sample, so the trial policy
+            // (fixed or adaptive) is irrelevant to them.
+            _ => spec.build(query).score(q)?,
         };
         Ok((
             Self::ranked_result(integration, &scores, certificate),
@@ -1780,14 +1554,14 @@ fn predicted_metric(strategy: Strategy) -> &'static str {
     }
 }
 
-/// Runs one adaptive Monte Carlo execution: the single place the
-/// `(method, estimator) → engine` dispatch lives, shared by
-/// [`QueryEngine`] and the CLI's local-query path so the two can
-/// never diverge. `method` must be stochastic; `estimator` selects
-/// the engine for [`Method::TraversalMc`] and is ignored by
-/// [`Method::Reliability`] (reduction + traversal batches). A
-/// `top_k` restricts certification to that prefix and its boundary
-/// gap ([`AdaptiveRunner::with_top_k`]).
+/// Runs one adaptive Monte Carlo execution through the same
+/// `(method, estimator) → engine` dispatch [`QueryEngine`] scores
+/// with, shared with the CLI's local-query path so the two can never
+/// diverge. `method` must be stochastic; `estimator` selects the
+/// engine for [`Method::TraversalMc`] and is ignored by
+/// [`Method::Reliability`] (reduction + traversal batches). A `top_k`
+/// restricts certification to that prefix and its boundary gap
+/// ([`AdaptiveRunner::with_top_k`]).
 pub fn run_adaptive(
     method: Method,
     estimator: Estimator,
@@ -1795,7 +1569,7 @@ pub fn run_adaptive(
     seed: u64,
     top_k: Option<usize>,
     q: &biorank_graph::QueryGraph,
-) -> Result<biorank_rank::AdaptiveOutcome, biorank_rank::Error> {
+) -> Result<AdaptiveOutcome, biorank_rank::Error> {
     run_adaptive_with_deadline(method, estimator, cfg, seed, top_k, None, q)
 }
 
@@ -1812,51 +1586,91 @@ pub fn run_adaptive_with_deadline(
     top_k: Option<usize>,
     deadline: Option<Instant>,
     q: &biorank_graph::QueryGraph,
-) -> Result<biorank_rank::AdaptiveOutcome, biorank_rank::Error> {
+) -> Result<AdaptiveOutcome, biorank_rank::Error> {
+    let policy = Trials::Adaptive(cfg);
+    match run_stochastic(method, estimator, policy, seed, top_k, deadline, q)? {
+        StochasticRun::Adaptive(outcome) => Ok(outcome),
+        StochasticRun::Fixed(_) => unreachable!("an adaptive policy runs the adaptive runner"),
+    }
+}
+
+/// What one [`run_stochastic`] execution produced, by trial policy.
+enum StochasticRun {
+    Fixed(Scores),
+    Adaptive(AdaptiveOutcome),
+}
+
+/// Runs one sequential Monte Carlo execution: the single place the
+/// `(method, estimator, trial policy) → engine` dispatch lives. Fixed
+/// or adaptive, word / traversal / reduced — the engine is built once
+/// and driven through the one batch loop ([`run_batches`]) under
+/// `deadline`, polling the fault-injection stall after each batch.
+/// Arguments as for [`run_adaptive`]; `top_k` only matters to the
+/// adaptive policy.
+fn run_stochastic(
+    method: Method,
+    estimator: Estimator,
+    trials: Trials,
+    seed: u64,
+    top_k: Option<usize>,
+    deadline: Option<Instant>,
+    q: &biorank_graph::QueryGraph,
+) -> Result<StochasticRun, biorank_rank::Error> {
     fn run<E: biorank_rank::Estimator>(
         engine: E,
-        cfg: AdaptiveConfig,
+        trials: Trials,
         top_k: Option<usize>,
         deadline: Option<Instant>,
         q: &biorank_graph::QueryGraph,
-    ) -> Result<biorank_rank::AdaptiveOutcome, biorank_rank::Error> {
-        let mut runner = AdaptiveRunner::new(engine, cfg.epsilon, cfg.delta);
-        if let Some(k) = top_k {
-            runner = runner.with_top_k(k);
+    ) -> Result<StochasticRun, biorank_rank::Error> {
+        // Fault-injection hook, once per propagated word block (every
+        // engine keeps that cadence): one relaxed load when no stall
+        // is installed. Sitting between batches, ahead of the polls, a
+        // stalled run's deadline can fire without perturbing the
+        // sample schedule of runs that finish on time.
+        let stall = |stats: BatchStats| {
+            if (stats.batch as usize).is_multiple_of(FUSION_LANES) {
+                crate::admission::maybe_stall_batch();
+            }
+        };
+        match trials {
+            Trials::Fixed(_) => run_batches(&engine, q, deadline, |_, stats| {
+                stall(stats);
+                false
+            })
+            .map(|run| StochasticRun::Fixed(run.scores)),
+            Trials::Adaptive(cfg) => {
+                let mut runner = AdaptiveRunner::new(engine, cfg.epsilon, cfg.delta);
+                if let Some(k) = top_k {
+                    runner = runner.with_top_k(k);
+                }
+                if let Some(d) = deadline {
+                    runner = runner.with_deadline(d);
+                }
+                runner.run_observed(q, stall).map(StochasticRun::Adaptive)
+            }
         }
-        if let Some(d) = deadline {
-            runner = runner.with_deadline(d);
-        }
-        runner.run(q)
     }
+    let budget = match trials {
+        Trials::Fixed(n) => n,
+        Trials::Adaptive(cfg) => cfg.max_trials,
+    };
     match method {
-        Method::Reliability => run(
-            ReducedMc::new(cfg.max_trials, seed),
-            cfg,
-            top_k,
-            deadline,
-            q,
-        ),
+        Method::Reliability => run(ReducedMc::new(budget, seed), trials, top_k, deadline, q),
         Method::TraversalMc => match estimator {
-            Estimator::Traversal => run(
-                TraversalMc::new(cfg.max_trials, seed),
-                cfg,
-                top_k,
-                deadline,
-                q,
-            ),
+            Estimator::Traversal => run(TraversalMc::new(budget, seed), trials, top_k, deadline, q),
             // `auto` is resolved before execution; unresolved callers
             // get the word engine, matching `RankerSpec::build`.
             Estimator::Word | Estimator::Auto => run(
-                WordMc::<FUSION_LANES>::wide(cfg.max_trials, seed),
-                cfg,
+                WordMc::<FUSION_LANES>::wide(budget, seed),
+                trials,
                 top_k,
                 deadline,
                 q,
             ),
         },
-        // Deterministic methods have no trials to adapt; callers
-        // filter on `Method::is_stochastic` first.
+        // Deterministic methods have no trials to run; callers filter
+        // on `Method::is_stochastic` first.
         _ => Err(biorank_rank::Error::InvalidParameter {
             name: "method",
             value: f64::NAN,

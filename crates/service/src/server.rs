@@ -15,14 +15,11 @@
 //! pipelined before a `world.swap` finish before it executes, and
 //! queries after it see the new world.
 //!
-//! **Fusion is invisible on the wire.** Concurrent identical queries
-//! may be answered by one computation (single-flight), and concurrent
-//! word-estimator Monte Carlo queries on the same exploratory query
-//! may share fused propagation sweeps — but there is no request field
-//! to ask for either, no response field that reveals them, and the
-//! response bytes are identical to an unfused execution. Only the
-//! `metrics` admin op shows the coalescing (`queries.coalesced`,
-//! `fusion.batches`, `fusion.lanes_used`, `fusion_width`).
+//! **Single-flight is invisible on the wire.** Concurrent identical
+//! queries may be answered by one computation, but there is no
+//! request field to ask for it, no response field that reveals it,
+//! and the response bytes are identical to a solo execution. Only the
+//! `metrics` admin op shows the coalescing (`queries.coalesced`).
 //!
 //! **Planning is opt-out, not invisible.** The serve default is
 //! `estimator: "auto"`: the engine scores exact / reduced / word /

@@ -4,7 +4,8 @@
 #   scripts/ci.sh
 #
 # Steps: format check, release build of every target (libs, bins,
-# tests, examples, benches), then the full test suite.
+# tests, examples, benches), the full test suite, the benchmark
+# harness's own suite, then live-serve smokes through the real binary.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,6 +18,13 @@ cargo build --release --all-targets
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The benchmark harness is its own workspace, frozen between benchmark
+# PRs, that the suite above never compiles: a change that breaks a
+# name it imports, or an answer its checker recomputes, must fail here
+# (~30 s, including the 16 s `--smoke` run), not in the benchmark.
+echo "==> cargo test -q --offline --manifest-path e2ebench/Cargo.toml"
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 
 # The multi-world tenancy suite is the gate for the admin control
 # plane (world.load/swap/evict/list, stats, swap cache invalidation);
@@ -71,13 +79,12 @@ echo "$certify_out" | grep -q "top-5 + boundary certified"
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 
-# Concurrency collapse smoke through the real binary: concurrent
-# identical word-estimator queries must coalesce onto one flight
-# (queries.coalesced > 0 in `admin metrics`) and concurrent distinct
-# ones may share fused sweeps — while every client still gets its
-# answer. The trial count is sized so the first flight is still
-# computing when the later clients connect.
-echo "==> biorank fusion/coalescing wire smoke"
+# Single-flight smoke through the real binary: concurrent identical
+# word-estimator queries must coalesce onto one flight
+# (queries.coalesced > 0 in `admin metrics`) while every client still
+# gets its answer. The trial count is sized so the first flight is
+# still computing when the later clients connect.
+echo "==> biorank single-flight (queries.coalesced > 0) wire smoke"
 : >"$serve_log"
 ./target/release/biorank serve --addr 127.0.0.1:0 --workers 4 >"$serve_log" 2>&1 &
 serve_pid=$!
@@ -88,7 +95,7 @@ for _ in $(seq 1 240); do
     sleep 0.5
 done
 if [ -z "$addr" ]; then
-    echo "fusion smoke serve never reported its address" >&2
+    echo "single-flight smoke serve never reported its address" >&2
     cat "$serve_log" >&2
     exit 1
 fi
@@ -96,11 +103,6 @@ query_pids=()
 for _ in 1 2 3 4; do
     ./target/release/biorank query GALT --addr "$addr" --method mc \
         --estimator word --trials 8000000 --top 3 >/dev/null &
-    query_pids+=($!)
-done
-for seed in 5 6; do
-    ./target/release/biorank query GALT --addr "$addr" --method mc \
-        --estimator word --trials 8000000 --seed "$seed" --top 3 >/dev/null &
     query_pids+=($!)
 done
 for pid in "${query_pids[@]}"; do

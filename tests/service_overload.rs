@@ -316,6 +316,45 @@ fn deadline_fires_mid_estimate_and_does_not_poison_the_cache() {
     handle.shutdown();
 }
 
+/// The deadline contract is the batch loop's, not the word engine's:
+/// a fixed-trial traversal run polls the same stall hook and the same
+/// deadline between batches.
+#[test]
+fn deadline_fires_mid_estimate_for_fixed_traversal_runs_too() {
+    let _stall = StallGuard::take();
+    let handle = start_server(ServeOptions {
+        workers: 2,
+        fault_plan: Some(FaultPlan {
+            stall_batch_ms: 250,
+            ..Default::default()
+        }),
+        ..Default::default()
+    });
+
+    let mut req = fused_request(5_000, 11);
+    req.spec.estimator = Some(Estimator::Traversal);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let err = client
+        .query(&req.clone().with_deadline_ms(100))
+        .expect_err("deadline fires mid-run");
+    let msg = err.to_string();
+    let (_, tail) = msg.split_once("deadline_exceeded after ").expect(&msg);
+    let trials: u32 = tail.split(' ').next().unwrap().parse().expect(&msg);
+    assert!(
+        0 < trials && trials < 5_000,
+        "aborted between batches: {msg}"
+    );
+    let report = client.metrics(false).expect("metrics");
+    assert!(report.service.counter("deadline.exceeded") >= 1);
+
+    biorank::service::admission::set_stall_batch_ms(0);
+    let resp = client.query(&req).expect("undeadlined rerun succeeds");
+    assert_eq!(resp.total_answers, 15);
+    assert!(!resp.cached_scores, "the aborted run must not have cached");
+
+    handle.shutdown();
+}
+
 #[test]
 fn drain_finishes_in_flight_queries_and_server_exits_cleanly() {
     let _stall = StallGuard::take();

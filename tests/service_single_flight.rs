@@ -1,13 +1,12 @@
-//! Fusion and single-flight are invisible on the wire.
+//! Single-flight is invisible on the wire.
 //!
 //! The engine may collapse concurrent identical requests into one
-//! computation (single-flight) and run concurrent word-estimator
-//! Monte Carlo jobs as one fused multi-lane sweep — but a client can
-//! never tell: responses are byte-identical to unfused, solo
-//! execution, and identical requests land in exactly one result-cache
-//! entry. Only the metrics registry records the collapsing
-//! (`queries.coalesced`, `fusion.batches`, `fusion.lanes_used`,
-//! `fusion_width`).
+//! computation, but a client can never tell: every response —
+//! whether it led a flight, waited on one, or ran beside unrelated
+//! flights — is byte-identical to the solo, uncached execution of the
+//! same request, and identical requests land in exactly one
+//! result-cache entry. Only the metrics registry records the
+//! collapsing (`queries.coalesced`).
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -43,12 +42,12 @@ fn adaptive(max_trials: u32) -> Trials {
 }
 
 /// Every request in a mix of fixed, adaptive-full, and adaptive-top-k
-/// word queries answers byte-identically through the fused engine path
-/// ([`QueryEngine::execute`]) and the solo path
+/// word queries answers byte-identically through the served path
+/// ([`QueryEngine::execute`]) and the reference path
 /// ([`QueryEngine::execute_uncached`]): same answers, same scores, same
-/// certificate. Fusion only changes which sweep executes a batch.
+/// certificate.
 #[test]
-fn fused_and_unfused_executions_are_byte_identical() {
+fn execute_and_execute_uncached_are_byte_identical() {
     let engine = engine();
     let mut topk = QueryRequest::protein_functions("CFTR", word_spec(13, adaptive(20_000)));
     topk.top = Some(3);
@@ -59,27 +58,14 @@ fn fused_and_unfused_executions_are_byte_identical() {
         topk,
     ];
     for req in &mix {
-        let unfused = engine.execute_uncached(req).expect("unfused execution");
-        let fused = engine.execute(req).expect("fused execution");
-        assert_eq!(fused.answers, unfused.answers, "answer bytes drifted");
+        let uncached = engine.execute_uncached(req).expect("uncached execution");
+        let served = engine.execute(req).expect("served execution");
+        assert_eq!(served.answers, uncached.answers, "answer bytes drifted");
         assert_eq!(
-            fused.certificate, unfused.certificate,
+            served.certificate, uncached.certificate,
             "certificate drifted"
         );
     }
-
-    // Every word query above ran inside a sweep, so the fusion
-    // telemetry is live even without concurrency.
-    let metrics = engine.metrics_snapshot();
-    assert!(
-        metrics.counter("fusion.batches") > 0,
-        "no fused blocks recorded"
-    );
-    assert!(
-        metrics.counter("fusion.lanes_used") >= metrics.counter("fusion.batches"),
-        "every block carries at least one lane"
-    );
-    assert!(metrics.histogram("fusion_width").count > 0);
 }
 
 /// Concurrent identical requests collapse into one flight: one
@@ -126,49 +112,46 @@ fn concurrent_identical_queries_coalesce_into_one_flight() {
 }
 
 /// Concurrent *distinct* word queries on the same exploratory query
-/// join one fused sweep: some propagation block carries more than one
-/// job, visible as `fusion_width` recording a block whose job count
-/// exceeds one (sum over blocks > block count).
+/// share nothing but the resident graph: released together, each —
+/// fixed and adaptive alike — answers exactly what its uncached solo
+/// execution answers, and each lands in its own result-cache entry.
 #[test]
-fn concurrent_distinct_word_queries_share_fused_sweeps() {
+fn concurrent_distinct_word_queries_match_their_solo_runs() {
     let engine = engine();
-    // Warm the graph cache so every thread reaches the sweep without
-    // racing on integration.
-    engine
-        .execute(&QueryRequest::protein_functions(
-            "GALT",
-            word_spec(1, Trials::Fixed(64)),
-        ))
-        .expect("warm-up query");
-
-    let threads = 4;
-    let barrier = Arc::new(Barrier::new(threads));
-    let handles: Vec<_> = (0..threads)
+    let requests: Vec<QueryRequest> = (0..6u64)
         .map(|i| {
-            let engine = Arc::clone(&engine);
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
-                barrier.wait();
-                let req = QueryRequest::protein_functions(
-                    "GALT",
-                    word_spec(100 + i as u64, Trials::Fixed(1_500_000)),
-                );
-                engine.execute(&req).expect("distinct word query")
-            })
+            let trials = if i % 2 == 0 {
+                Trials::Fixed(200_000)
+            } else {
+                adaptive(20_000)
+            };
+            QueryRequest::protein_functions("GALT", word_spec(100 + i, trials))
         })
         .collect();
-    for h in handles {
-        let response = h.join().expect("query thread");
-        assert!(!response.answers.is_empty());
+    let barrier = Barrier::new(requests.len());
+    let served: Vec<_> = thread::scope(|scope| {
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|req| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    engine.execute(req).expect("distinct word query")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("query thread"))
+            .collect()
+    });
+    for (req, served) in requests.iter().zip(&served) {
+        let solo = engine.execute_uncached(req).expect("solo execution");
+        assert_eq!(served.answers, solo.answers, "answer bytes drifted");
+        assert_eq!(served.certificate, solo.certificate, "certificate drifted");
     }
-
-    let metrics = engine.metrics_snapshot();
-    let width = metrics.histogram("fusion_width");
-    assert!(
-        width.sum > width.count,
-        "no propagation block was shared across jobs \
-         (sum {} over {} blocks)",
-        width.sum,
-        width.count
+    assert_eq!(
+        engine.stats().results.entries,
+        requests.len(),
+        "one result-cache entry per distinct request"
     );
 }
