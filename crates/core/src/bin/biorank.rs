@@ -37,21 +37,24 @@
 //!                                         picks the cheapest strategy (exact /
 //!                                         reduced / word / traversal) per query
 //!   --explain                             print the planner's chosen strategy,
-//!                                         predicted vs actual time, and the
-//!                                         feature vector it scored (implies
-//!                                         --estimator auto unless one was
-//!                                         given explicitly)
+//!                                         its predicted time next to the
+//!                                         measured estimate + certify time,
+//!                                         and the feature vector it scored
+//!                                         (implies --estimator auto unless one
+//!                                         was given explicitly)
 //!   --addr HOST:PORT                      send the query to a running
-//!                                         `biorank serve` instead of
-//!                                         executing locally
+//!                                         `biorank serve`; without it the
+//!                                         same request runs in-process on a
+//!                                         fresh engine over the --seed /
+//!                                         --extended world, so both print the
+//!                                         same plan, certificate and rows
 //!   --world NAME                          resident world to query (remote only)
-//!   --trace                               print the per-stage span breakdown
-//!                                         (remote: echoed by the server;
-//!                                         local: measured in-process)
-//!   --deadline-ms N                       total execution budget (remote only):
-//!                                         a query still running when it
-//!                                         expires aborts between Monte Carlo
-//!                                         batches with deadline_exceeded
+//!   --trace                               print the engine's per-stage span
+//!                                         breakdown
+//!   --deadline-ms N                       total execution budget: a query
+//!                                         still running when it expires
+//!                                         aborts between Monte Carlo batches
+//!                                         with deadline_exceeded
 //!   --timeout-ms N                        client-side connect + socket i/o
 //!                                         timeout (remote only)
 //!   --retries N                           retry overload sheds up to N times
@@ -146,14 +149,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use biorank::prelude::*;
-use biorank::rank::{
-    explain::explain, plan, Certificate, CertificateMode, ClosedReliability, CostModel,
-    GraphFeatures, Plan, PlanFeatures, Strategy, TopK, TrialsPolicy,
-};
-use biorank::schema::{biorank_schema_full, ComposeHints};
+use biorank::rank::{explain::explain, Certificate, CertificateMode, Plan, TopK, TrialsPolicy};
+use biorank::schema::biorank_schema_full;
 use biorank::service::{
-    query_schema_reducible, AdaptiveConfig, Client, ClientOptions, Estimator, FaultPlan, Method,
-    MetricsSnapshot, QueryRequest, RankerSpec, ServeOptions, Server, TenancyError, Trials,
+    AdaptiveConfig, Client, ClientOptions, Estimator, FaultPlan, Method, MetricsSnapshot,
+    QueryRequest, QueryResponse, RankerSpec, ServeOptions, Server, TenancyError, Trials,
     WorldManager, WorldSpec, WorldStore, DEFAULT_SLOW_QUERY_MICROS, DEFAULT_SWAP_WARM,
     DEFAULT_WORLD, DEFAULT_WORLD_BUDGET,
 };
@@ -174,7 +174,8 @@ struct Options {
     parallel: bool,
     estimator: Option<Estimator>,
     /// `query --explain`: print the planner's chosen strategy,
-    /// predicted vs actual time, and the scored feature vector.
+    /// predicted vs measured estimator time, and the scored feature
+    /// vector.
     explain: bool,
     addr: Option<String>,
     workers: usize,
@@ -492,7 +493,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn build(opts: &Options) -> (World, Mediator, ComposeHints) {
+fn build(opts: &Options) -> (World, Mediator) {
     let world = World::generate(WorldParams {
         seed: opts.seed,
         extended: opts.extended,
@@ -503,34 +504,12 @@ fn build(opts: &Options) -> (World, Mediator, ComposeHints) {
     } else {
         biorank_schema_with_ontology()
     };
-    let hints = bundle.hints.clone();
     let mediator = Mediator::new(bundle.schema, world.registry());
-    (world, mediator, hints)
-}
-
-fn ranker_for(
-    method: &str,
-    trials: u32,
-    estimator: Option<Estimator>,
-) -> Result<Box<dyn Ranker + Send + Sync>, String> {
-    Ok(match method {
-        "rel" | "reliability" => Box::new(ReducedMc::new(trials, 42)),
-        "mc" | "relmc" if estimator == Some(Estimator::Word) => {
-            Box::new(biorank::rank::WordMc::new(trials, 42))
-        }
-        "mc" | "relmc" => Box::new(TraversalMc::new(trials, 42)),
-        // The planner's exact strategy (trials/seed do not apply).
-        "exact" | "closed" => Box::new(ClosedReliability::default()),
-        "prop" | "propagation" => Box::new(Propagation::auto()),
-        "diff" | "diffusion" => Box::new(Diffusion::auto()),
-        "inedge" => Box::new(InEdge),
-        "pathc" | "pathcount" => Box::new(PathCount),
-        other => return Err(format!("unknown method {other:?}")),
-    })
+    (world, mediator)
 }
 
 fn cmd_proteins(opts: &Options) -> Result<(), String> {
-    let (world, _, _) = build(opts);
+    let (world, _) = build(opts);
     println!("{:<10} {:<14} {:>10}", "Protein", "Kind", "Candidates");
     for p in &world.profiles {
         let kind = match p.kind {
@@ -542,10 +521,12 @@ fn cmd_proteins(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn remote_spec(opts: &Options) -> Result<RankerSpec, String> {
+/// The ranker spec a `query` asks for — the same one whether the
+/// request then runs in-process or goes to a server.
+fn query_spec(opts: &Options) -> Result<RankerSpec, String> {
     let method = Method::parse(&opts.method).ok_or_else(|| {
         format!(
-            "unknown method {:?} (expected rel|mc|prop|diff|inedge|pathc)",
+            "unknown method {:?} (expected rel|mc|exact|prop|diff|inedge|pathc)",
             opts.method
         )
     })?;
@@ -558,19 +539,31 @@ fn remote_spec(opts: &Options) -> Result<RankerSpec, String> {
     })
 }
 
-/// The human-readable `--explain` rendering of one plan echo, shared
-/// by the local and remote query paths.
-fn print_plan(plan: &Plan, actual_ns: u64) {
+/// The human-readable `--explain` rendering of one plan echo.
+/// `actual` is what the prediction is a prediction *of*: the time the
+/// chosen estimator ran (the `estimate` + `certify` spans), not the
+/// whole request — and on a result-cache hit nothing ran at all.
+fn print_plan(plan: &Plan, response: &QueryResponse) {
+    let actual = if response.cached_scores {
+        "result cache hit".to_string()
+    } else {
+        let ran: u64 = response
+            .trace
+            .iter()
+            .filter(|s| matches!(s.stage.as_str(), "estimate" | "certify"))
+            .map(|s| s.nanos)
+            .sum();
+        format!("actual {ran} ns")
+    };
     println!(
-        "  plan: {}{} (predicted {} ns, actual {} ns)",
+        "  plan: {}{} (predicted {} ns, {actual})",
         plan.strategy.wire_name(),
         if plan.fallback {
             " [fallback: a cheaper strategy was ineligible]"
         } else {
             ""
         },
-        plan.predicted_ns,
-        actual_ns
+        plan.predicted_ns
     );
     let f = &plan.features;
     let trials = match f.trials {
@@ -616,35 +609,63 @@ fn certificate_line(cert: &Certificate) -> String {
     }
 }
 
-/// `biorank query <PROTEIN> --addr HOST:PORT`: execute against a
-/// running `biorank serve` over the line protocol.
-fn cmd_query_remote(opts: &Options, addr: &str) -> Result<(), String> {
+/// `biorank query <PROTEIN>`: build one request, execute it — over
+/// the line protocol against a running `biorank serve` with `--addr`,
+/// otherwise in-process on a fresh engine over the `--seed` /
+/// `--extended` world — and print the response. Both routes share the
+/// request and the printer, so a local run reads exactly like a cold
+/// query against a fresh server of the same world.
+fn cmd_query(opts: &Options) -> Result<(), String> {
     let protein = opts
         .positional
         .first()
-        .ok_or("usage: biorank query <PROTEIN> --addr HOST:PORT")?;
+        .ok_or("usage: biorank query <PROTEIN> [--addr HOST:PORT]")?;
     let request = QueryRequest {
         query: ExploratoryQuery::protein_functions(protein),
-        spec: remote_spec(opts)?,
+        spec: query_spec(opts)?,
         top: Some(opts.top),
         certify_top: opts.certify_top,
         world: opts.world.clone(),
-        trace: opts.trace,
+        // `--explain` compares the prediction against the estimate and
+        // certify spans, so it needs the trace even when `--trace`
+        // (which prints it) was not given.
+        trace: opts.trace || opts.explain,
         deadline_ms: opts.deadline_ms,
     };
-    let copts = client_options(opts);
-    let response = if opts.retries > 0 {
-        // Retrying reconnects per attempt (an overload shed closes
-        // the connection), honoring the server's retry_after_ms hint.
-        Client::query_with_retry(addr, copts, &request, opts.retries).map_err(|e| e.to_string())?
-    } else {
-        let mut client =
-            Client::connect_with(addr, copts).map_err(|e| format!("connect {addr}: {e}"))?;
-        client.query(&request).map_err(|e| e.to_string())?
+    let response = match opts.addr.as_deref() {
+        Some(addr) => {
+            let copts = client_options(opts);
+            if opts.retries > 0 {
+                // Retrying reconnects per attempt (an overload shed
+                // closes the connection), honoring the server's
+                // retry_after_ms hint.
+                Client::query_with_retry(addr, copts, &request, opts.retries)
+                    .map_err(|e| e.to_string())?
+            } else {
+                let mut client = Client::connect_with(addr, copts)
+                    .map_err(|e| format!("connect {addr}: {e}"))?;
+                client.query(&request).map_err(|e| e.to_string())?
+            }
+        }
+        None if opts.world.is_some() => {
+            return Err("--world routes to a server world; it requires --addr".to_string());
+        }
+        None => WorldSpec {
+            seed: opts.seed,
+            extended: opts.extended,
+            cache_capacity: opts.cache,
+        }
+        .build()
+        .execute(&request)
+        .map_err(|e| e.to_string())?,
     };
     println!(
-        "{protein}: {} candidate functions via {addr}{}, method {} ({}, {} µs)",
+        "{protein}: {} candidate functions{}{}, method {} ({}, {} µs)",
         response.total_answers,
+        opts.addr
+            .as_deref()
+            .map(|a| format!(" via {a}"))
+            .unwrap_or_default(),
         opts.world
             .as_deref()
             .map(|w| format!(" world {w:?}"))
@@ -662,13 +683,13 @@ fn cmd_query_remote(opts: &Options, addr: &str) -> Result<(), String> {
     }
     if opts.explain {
         match &response.plan {
-            Some(plan) => print_plan(plan, response.micros.saturating_mul(1_000)),
+            Some(plan) => print_plan(plan, &response),
             None => println!(
                 "  plan: none (an explicit estimator or non-MC method routes around the planner)"
             ),
         }
     }
-    if !response.trace.is_empty() {
+    if opts.trace {
         let total: u64 = response.trace.iter().map(|s| s.nanos).sum();
         println!(
             "  trace ({} stages, {} µs accounted):",
@@ -1070,157 +1091,6 @@ fn print_metrics_snapshot(indent: &str, snap: &MetricsSnapshot) {
     }
 }
 
-fn cmd_query(opts: &Options) -> Result<(), String> {
-    if let Some(addr) = opts.addr.clone() {
-        return cmd_query_remote(opts, &addr);
-    }
-    if opts.world.is_some() {
-        return Err("--world routes to a server world; it requires --addr".to_string());
-    }
-    let protein = opts
-        .positional
-        .first()
-        .ok_or("usage: biorank query <PROTEIN>")?;
-    let (world, mediator, hints) = build(opts);
-    let query = ExploratoryQuery::protein_functions(protein);
-    let integrate_start = std::time::Instant::now();
-    let result = mediator.execute(&query).map_err(|e| e.to_string())?;
-    let integrate_ns = integrate_start.elapsed().as_nanos() as u64;
-    let q = &result.query;
-    // `--estimator auto` (which `--explain` implies unless an engine
-    // was pinned): run the cost-based planner over the integrated
-    // graph and execute the chosen strategy — the same features, model
-    // seed, and strategy → method mapping the service's auto path
-    // uses, so a local plan matches what a fresh server would pick.
-    let mut method = opts.method.clone();
-    let mut estimator = opts.effective_estimator();
-    let mut chosen_plan = None;
-    if estimator == Some(Estimator::Auto) {
-        if Method::parse(&method).is_some_and(|m| m.is_plannable()) {
-            let graph = GraphFeatures::extract(q).with_schema_reducible(query_schema_reducible(
-                mediator.schema(),
-                &hints,
-                &query,
-            ));
-            let features = PlanFeatures {
-                graph,
-                top_k: opts.certify_top.then(|| opts.top as u32),
-                trials: match opts.trials_policy() {
-                    Trials::Fixed(n) => TrialsPolicy::Fixed(n),
-                    Trials::Adaptive(cfg) => TrialsPolicy::Adaptive {
-                        max_trials: cfg.max_trials,
-                    },
-                },
-            };
-            let p = plan(&features, &CostModel::default());
-            (method, estimator) = match p.strategy {
-                Strategy::Exact => ("exact".to_string(), None),
-                Strategy::ReducedMc => ("rel".to_string(), None),
-                Strategy::WordMc => ("mc".to_string(), Some(Estimator::Word)),
-                Strategy::TraversalMc => ("mc".to_string(), Some(Estimator::Traversal)),
-            };
-            chosen_plan = Some(p);
-        } else {
-            // Non-plannable methods ignore the estimator everywhere.
-            estimator = None;
-        }
-    }
-    let score_start = std::time::Instant::now();
-    let ranker = ranker_for(&method, opts.trials, estimator)?;
-    let mut certificate = None;
-    let scores = if matches!(method.as_str(), "exact" | "closed") {
-        // The closed solution has no trials to adapt or parallelize.
-        ranker.score(q).map_err(|e| e.to_string())?
-    } else if let Trials::Adaptive(cfg) = opts.trials_policy() {
-        // Adaptive local execution: the same `(method, estimator) →
-        // engine` dispatch the service uses (`run_adaptive`), with the
-        // local path's fixed seed 42.
-        let method = Method::parse(&method)
-            .filter(Method::is_stochastic)
-            .ok_or_else(|| {
-                format!("--adaptive-* applies to Monte Carlo methods (rel, mc), not {method:?}")
-            })?;
-        let top_k = opts.certify_top.then_some(opts.top);
-        let outcome = biorank::service::run_adaptive(
-            method,
-            estimator.unwrap_or_default(),
-            cfg,
-            42,
-            top_k,
-            q,
-        )
-        .map_err(|e| e.to_string())?;
-        certificate = Some(outcome.certificate);
-        outcome.scores
-    } else if opts.parallel && matches!(method.as_str(), "mc" | "relmc") {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if estimator == Some(Estimator::Word) {
-            biorank::rank::WordMc::new(opts.trials, 42)
-                .score_parallel(q, threads)
-                .map_err(|e| e.to_string())?
-        } else {
-            TraversalMc::new(opts.trials, 42)
-                .score_chunked(q, biorank::service::PARALLEL_MC_CHUNKS, threads)
-                .map_err(|e| e.to_string())?
-        }
-    } else {
-        ranker.score(q).map_err(|e| e.to_string())?
-    };
-    let score_ns = score_start.elapsed().as_nanos() as u64;
-    let rank_start = std::time::Instant::now();
-    let ranking = Ranking::rank(scores.answers(q));
-    let rank_ns = rank_start.elapsed().as_nanos() as u64;
-    println!(
-        "{protein}: {} candidate functions ({} graph nodes, {} edges), method {}",
-        q.answers().len(),
-        q.graph().node_count(),
-        q.graph().edge_count(),
-        ranker.name()
-    );
-    if let Some(cert) = &certificate {
-        println!("{}", certificate_line(cert));
-    }
-    if opts.explain {
-        match &chosen_plan {
-            Some(p) => print_plan(p, score_ns),
-            None => println!(
-                "  plan: none (an explicit estimator or non-MC method routes around the planner)"
-            ),
-        }
-    }
-    if opts.trace {
-        // Local runs have no server-side spans; measure the three
-        // in-process stages directly so `--trace` is useful offline.
-        println!("  trace (local, 3 stages):");
-        for (stage, nanos) in [
-            ("integrate", integrate_ns),
-            ("score", score_ns),
-            ("rank", rank_ns),
-        ] {
-            println!("    {stage:<10} {nanos:>12} ns");
-        }
-    }
-    let gold = world.iproclass.functions(protein);
-    for entry in ranking.entries().iter().take(opts.top) {
-        let key = result.answer_key(entry.node).unwrap_or("?");
-        let label = result.label(entry.node);
-        let known = GoTerm::parse(key)
-            .map(|t| gold.contains(&t))
-            .unwrap_or(false);
-        println!(
-            "{:>6}  {:<12} {:<42} {:>8.4}{}",
-            entry.to_string(),
-            key,
-            truncate(label, 42),
-            entry.score,
-            if known { "  [iProClass]" } else { "" }
-        );
-    }
-    Ok(())
-}
-
 fn cmd_explain(opts: &Options) -> Result<(), String> {
     let protein = opts
         .positional
@@ -1230,7 +1100,7 @@ fn cmd_explain(opts: &Options) -> Result<(), String> {
         .positional
         .get(1)
         .ok_or("usage: biorank explain <PROTEIN> <GO:xxxxxxx>")?;
-    let (_, mediator, _) = build(opts);
+    let (_, mediator) = build(opts);
     let result = mediator
         .execute(&ExploratoryQuery::protein_functions(protein))
         .map_err(|e| e.to_string())?;
@@ -1275,7 +1145,7 @@ fn cmd_topk(opts: &Options) -> Result<(), String> {
         .get(1)
         .and_then(|v| v.parse().ok())
         .ok_or("usage: biorank topk <PROTEIN> <K>")?;
-    let (_, mediator, _) = build(opts);
+    let (_, mediator) = build(opts);
     let result = mediator
         .execute(&ExploratoryQuery::protein_functions(protein))
         .map_err(|e| e.to_string())?;

@@ -2,7 +2,7 @@
 //!
 //! The planner never runs a candidate strategy to find out what it
 //! costs — it reads a small feature vector off the integrated query
-//! graph and scores a calibrated model (see [`crate::planner`]). The
+//! graph and scores a fixed linear model (see [`crate::planner`]). The
 //! expensive-looking part, one pass of the paper's reduction rules
 //! over a throwaway clone, is `O(V + E)` to fixpoint and is exactly
 //! the preprocessing `ReducedMc` would run anyway — so extraction

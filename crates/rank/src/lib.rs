@@ -66,7 +66,7 @@ pub use diffusion::{Diffusion, InnerSolver};
 pub use estimator::{run_batches, BatchRun, BatchStats, Estimator, BATCH_TRIALS};
 pub use features::{GraphFeatures, PlanFeatures, TrialsPolicy};
 pub use mc::{McState, NaiveMc, NaiveState, TraversalMc};
-pub use planner::{plan, CalibrationInput, CostModel, Plan, Strategy, StrategyTelemetry};
+pub use planner::{plan, CostModel, Plan, Strategy};
 pub use propagation::Propagation;
 pub use reliability::{ClosedReliability, ReducedMc, SolveMode};
 pub use score::{Ranker, Scores};

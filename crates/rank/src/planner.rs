@@ -5,15 +5,17 @@
 //! Carlo wins in the middle, and plain sampling wins once reduction
 //! stops paying. The repo reproduces every one of those strategies —
 //! this module picks between them per query, from a cheap feature
-//! vector ([`PlanFeatures`]) and a calibrated linear cost model
-//! ([`CostModel`]), instead of making the caller choose.
+//! vector ([`PlanFeatures`]) and a linear cost model ([`CostModel`]),
+//! instead of making the caller choose.
 //!
 //! Planning is a **pure function**: [`plan`] reads only the feature
 //! vector and the model constants, so a fixed `(features, model)`
 //! pair always yields the same [`Plan`] — the bit-identity discipline
-//! of the rest of the crate extends to strategy choice. Calibration
-//! ([`CostModel::calibrate`]) is equally deterministic: given the
-//! same telemetry aggregates it produces the same blended model.
+//! of the rest of the crate extends to strategy choice. The constants
+//! are compile-time ([`CostModel::default`]); nothing a process has
+//! served before can move them, so the same request plans the same
+//! way on a fresh engine and on one that has answered a million
+//! queries.
 
 use crate::features::{PlanFeatures, TrialsPolicy};
 
@@ -70,8 +72,8 @@ impl Strategy {
         })
     }
 
-    /// Dense index into per-strategy arrays ([`CostModel::scale`],
-    /// [`CalibrationInput::observed`]).
+    /// Dense index into per-strategy arrays (this strategy's position
+    /// in [`Strategy::ALL`]).
     pub fn index(&self) -> usize {
         match self {
             Strategy::Exact => 0,
@@ -82,15 +84,11 @@ impl Strategy {
     }
 }
 
-/// The calibrated constants of the planner's linear cost model.
-///
-/// Structural coefficients (`*_ns` fields) are seeded from the
+/// The constants of the planner's linear cost model, taken from the
 /// BENCH_mc.json rows at commit `e6e637c` and the measured shapes of
-/// the bench graphs; the per-strategy `scale` factors start at 1 and
-/// absorb everything the seed host and the serving host disagree on —
-/// online calibration ([`calibrate`](CostModel::calibrate)) touches
-/// only the scales and the adaptive-trial expectations, never the
-/// structural coefficients.
+/// the bench graphs. They only have to order the strategies correctly
+/// (the rows differ by 5–200×), not predict a particular host's
+/// nanoseconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Traversal Monte Carlo: ns per trial per live edge. Seed: the
@@ -124,10 +122,6 @@ pub struct CostModel {
     /// certification. Seed: the `adaptive_topk_*` rows (k = 1 → 256,
     /// k = 10 → 2112–4544).
     pub topk_trials_per_k: f64,
-    /// Per-strategy multiplicative correction, indexed by
-    /// [`Strategy::index`]. Starts at 1; online calibration blends it
-    /// toward the observed/predicted latency ratio.
-    pub scale: [f64; 4],
 }
 
 impl Default for CostModel {
@@ -141,52 +135,19 @@ impl Default for CostModel {
             setup_ns: 20_000.0,
             adaptive_full_frac: 0.6,
             topk_trials_per_k: 384.0,
-            scale: [1.0; 4],
         }
     }
 }
 
-/// Exponential-decay weight of one calibration round: how far each
-/// scale factor moves toward the freshly observed ratio.
-pub const CALIBRATION_DECAY: f64 = 0.3;
-
-/// Minimum per-strategy samples before telemetry moves the model.
-pub const MIN_CALIBRATION_SAMPLES: u64 = 4;
-
-/// Telemetry aggregates for one strategy, distilled from a
-/// `biorank-obs` metrics snapshot (the service folds its
-/// `planner.observed_ns.*` / `planner.predicted_ns.*` histograms and
-/// `trials_used` / `certified` series into this shape).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StrategyTelemetry {
-    /// Mean observed execution latency of planned runs, ns.
-    pub observed_mean_ns: f64,
-    /// Mean latency the model predicted for those same runs, ns.
-    pub predicted_mean_ns: f64,
-    /// How many planned executions the means aggregate.
-    pub samples: u64,
-}
-
-/// One calibration round's input: per-strategy observed/predicted
-/// aggregates plus the adaptive-trial telemetry.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CalibrationInput {
-    /// Per-strategy aggregates, indexed by [`Strategy::index`].
-    pub observed: [Option<StrategyTelemetry>; 4],
-    /// Mean `trials_used / max_trials` of adaptive full-certification
-    /// runs, when any were observed.
-    pub mean_trials_frac: Option<f64>,
-}
-
 impl CostModel {
     /// Predicted trial count for this feature vector: the fixed
-    /// budget verbatim, or the calibrated expectation of the adaptive
-    /// runner's early stop.
+    /// budget verbatim, or the expected early stop of the adaptive
+    /// runner.
     pub fn predicted_trials(&self, f: &PlanFeatures) -> f64 {
         match f.trials {
             TrialsPolicy::Fixed(n) => f64::from(n),
             TrialsPolicy::Adaptive { max_trials } => {
-                let full = f64::from(max_trials) * self.adaptive_full_frac.clamp(0.05, 1.0);
+                let full = f64::from(max_trials) * self.adaptive_full_frac;
                 match f.top_k {
                     // A top-k prefix certifies as soon as k leading
                     // gaps (plus the boundary) resolve — never more
@@ -236,47 +197,7 @@ impl CostModel {
             }
             Strategy::TraversalMc => trials * edges * self.trav_trial_edge_ns,
         };
-        self.setup_ns + raw * self.scale[strategy.index()]
-    }
-
-    /// One online calibration round: blends each strategy's scale
-    /// factor toward its observed/predicted latency ratio (clamped to
-    /// [0.25, 4] per round so one outlier cannot capsize the model)
-    /// and the adaptive-trial expectation toward the observed
-    /// `trials_used` fraction, both with exponential decay
-    /// [`CALIBRATION_DECAY`]. Returns `true` when any constant moved.
-    pub fn calibrate(&mut self, input: &CalibrationInput) -> bool {
-        let mut moved = false;
-        for strategy in Strategy::ALL {
-            let Some(t) = input.observed[strategy.index()] else {
-                continue;
-            };
-            if t.samples < MIN_CALIBRATION_SAMPLES
-                || !(t.predicted_mean_ns > 0.0)
-                || !(t.observed_mean_ns > 0.0)
-            {
-                continue;
-            }
-            let ratio = (t.observed_mean_ns / t.predicted_mean_ns).clamp(0.25, 4.0);
-            let scale = &mut self.scale[strategy.index()];
-            let next = (*scale * (1.0 + CALIBRATION_DECAY * (ratio - 1.0))).clamp(0.01, 100.0);
-            if next != *scale {
-                *scale = next;
-                moved = true;
-            }
-        }
-        if let Some(frac) = input.mean_trials_frac {
-            if frac.is_finite() && frac > 0.0 {
-                let target = frac.clamp(0.05, 1.0);
-                let next = self.adaptive_full_frac
-                    + CALIBRATION_DECAY * (target - self.adaptive_full_frac);
-                if next != self.adaptive_full_frac {
-                    self.adaptive_full_frac = next;
-                    moved = true;
-                }
-            }
-        }
-        moved
+        self.setup_ns + raw
     }
 }
 
@@ -520,52 +441,6 @@ mod tests {
             m.predicted_ns(Strategy::WordMc, &cyc) > m.predicted_ns(Strategy::WordMc, &dag),
             "cycles must raise the word engine's predicted cost"
         );
-    }
-
-    #[test]
-    fn calibration_moves_toward_observed_ratios_and_is_deterministic() {
-        let mut m = CostModel::default();
-        let mut input = CalibrationInput::default();
-        input.observed[Strategy::WordMc.index()] = Some(StrategyTelemetry {
-            observed_mean_ns: 2_000_000.0,
-            predicted_mean_ns: 1_000_000.0,
-            samples: 10,
-        });
-        input.mean_trials_frac = Some(0.4);
-        assert!(m.calibrate(&input));
-        assert!(m.scale[Strategy::WordMc.index()] > 1.0);
-        assert!(m.adaptive_full_frac < 0.6);
-        // Same input, same starting model ⇒ same blended model.
-        let mut m2 = CostModel::default();
-        m2.calibrate(&input);
-        assert_eq!(m, m2);
-    }
-
-    #[test]
-    fn calibration_ignores_thin_samples() {
-        let mut m = CostModel::default();
-        let mut input = CalibrationInput::default();
-        input.observed[Strategy::WordMc.index()] = Some(StrategyTelemetry {
-            observed_mean_ns: 9e9,
-            predicted_mean_ns: 1.0,
-            samples: MIN_CALIBRATION_SAMPLES - 1,
-        });
-        assert!(!m.calibrate(&input));
-        assert_eq!(m, CostModel::default());
-    }
-
-    #[test]
-    fn calibrated_model_still_plans_deterministically() {
-        let mut m = CostModel::default();
-        let mut input = CalibrationInput::default();
-        input.observed[Strategy::TraversalMc.index()] = Some(StrategyTelemetry {
-            observed_mean_ns: 500_000.0,
-            predicted_mean_ns: 2_000_000.0,
-            samples: 100,
-        });
-        m.calibrate(&input);
-        let f = abcc8_features();
-        assert_eq!(plan(&f, &m), plan(&f, &m));
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! and a cache hit returns exactly what recomputation would. Lane
 //! widening preserves this bit-for-bit: batch `b` of a run draws from
 //! the stream keyed `(seed, b)` no matter which lane of which block
-//! executes it.
+//! executes it. Strategy choice obeys the same rule: `estimator: auto`
+//! is resolved by a pure function of the request and its graph's
+//! features, never of what the engine has served before.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,10 +36,9 @@ use std::time::{Duration, Instant};
 use biorank_mediator::{ExploratoryQuery, IntegrationResult, Mediator};
 use biorank_obs::{MetricsRegistry, MetricsSnapshot, TraceRecorder, TraceSpan};
 use biorank_rank::{
-    run_batches, AdaptiveOutcome, AdaptiveRunner, BatchStats, CalibrationInput, Certificate,
-    CertificateMode, ClosedReliability, CostModel, Diffusion, GraphFeatures, InEdge, PathCount,
-    Plan, PlanFeatures, Propagation, Ranker, Ranking, ReducedMc, Scores, Strategy,
-    StrategyTelemetry, TraversalMc, TrialsPolicy, WordMc,
+    run_batches, AdaptiveOutcome, AdaptiveRunner, BatchStats, Certificate, CertificateMode,
+    ClosedReliability, CostModel, Diffusion, GraphFeatures, InEdge, PathCount, Plan, PlanFeatures,
+    Propagation, Ranker, Ranking, ReducedMc, Scores, Strategy, TraversalMc, TrialsPolicy, WordMc,
 };
 use biorank_schema::{check_query_reducible, ComposeHints, Schema};
 
@@ -285,6 +286,13 @@ impl RankerSpec {
     /// choice, or [`Estimator::Traversal`] when unspecified.
     pub fn resolved_estimator(&self) -> Estimator {
         self.estimator.unwrap_or_default()
+    }
+
+    /// `true` when this spec hands strategy choice to the planner.
+    /// Non-plannable methods ignore the estimator field everywhere
+    /// (cache keys included), so `auto` on them needs no rewriting.
+    fn wants_plan(&self) -> bool {
+        self.estimator == Some(Estimator::Auto) && self.method.is_plannable()
     }
 
     /// The seed actually handed to a Monte Carlo ranker for `query`:
@@ -706,13 +714,6 @@ pub struct QueryEngine {
     /// for the planner's schema-reducibility feature (see
     /// [`QueryEngine::with_hints`]).
     hints: ComposeHints,
-    /// The calibrated planner cost model. A plain mutex: planning
-    /// copies the (small, `Copy`) model out; only the rare
-    /// recalibration writes.
-    planner: Mutex<CostModel>,
-    /// Planned executions since startup, driving the periodic
-    /// recalibration cadence ([`RECALIBRATION_INTERVAL`]).
-    planned: AtomicU64,
 }
 
 /// A single-flight entry: followers block on `done` until the leader
@@ -761,12 +762,6 @@ pub const PARALLEL_MC_CHUNKS: usize = 8;
 /// placement — so this is purely a throughput knob.
 pub const FUSION_LANES: usize = 8;
 
-/// Planned executions between automatic cost-model recalibrations
-/// ([`QueryEngine::recalibrate`]). Small enough that a warm server
-/// converges toward its own hardware within the first minutes of
-/// traffic, large enough that calibration cost is noise.
-pub const RECALIBRATION_INTERVAL: u64 = 64;
-
 /// The outcome of resolving one `estimator: auto` request: the
 /// rewritten request that actually executes, the plan to echo, and
 /// whether feature extraction had to run integration itself (so the
@@ -797,8 +792,6 @@ impl QueryEngine {
             flights: Mutex::new(HashMap::new()),
             features: ShardedLru::new(capacity, DEFAULT_CACHE_SHARDS),
             hints: ComposeHints::none(),
-            planner: Mutex::new(CostModel::default()),
-            planned: AtomicU64::new(0),
         }
     }
 
@@ -810,12 +803,6 @@ impl QueryEngine {
     pub fn with_hints(mut self, hints: ComposeHints) -> Self {
         self.hints = hints;
         self
-    }
-
-    /// A copy of the planner's current (possibly calibrated) cost
-    /// model.
-    pub fn planner_model(&self) -> CostModel {
-        *self.planner.lock().expect("planner model")
     }
 
     /// The wrapped mediator.
@@ -938,7 +925,12 @@ impl QueryEngine {
             }
         };
         if let Some(planned) = &planned {
-            self.note_planned(&mut response, planned);
+            // Feature extraction may have run integration itself; the
+            // compute path then saw a graph-cache hit it did not earn.
+            if planned.fresh_graph {
+                response.cached_graph = false;
+            }
+            response.plan = Some(planned.plan);
         }
         response.trace = trace.into_spans();
         Ok(response)
@@ -1060,30 +1052,16 @@ impl QueryEngine {
         req: &QueryRequest,
         trace: &mut TraceRecorder,
     ) -> Result<Option<Planned>, Error> {
-        if req.spec.estimator != Some(Estimator::Auto) || !req.spec.method.is_plannable() {
-            // Non-plannable methods ignore the estimator field
-            // everywhere (cache keys included), so `auto` on them
-            // needs no rewriting at all.
+        if !req.spec.wants_plan() {
             return Ok(None);
         }
         let (planned, plan_ns) = trace.time("plan", || -> Result<_, Error> {
             let (graph, fresh_graph) = self.plan_features(&req.query)?;
-            let features = PlanFeatures::for_request(
-                graph,
-                match req.coverage() {
-                    Coverage::TopK(k) => Some(k as u32),
-                    Coverage::Full => None,
-                },
-                Self::trials_policy(req.spec.trials),
-            );
-            let model = self.planner_model();
-            let plan = biorank_rank::plan(&features, &model);
+            let (request, plan) = Self::plan_request(req, graph);
             self.metrics.counter(chosen_metric(plan.strategy)).inc();
             if plan.fallback {
                 self.metrics.counter("planner.fallback").inc();
             }
-            let mut request = req.clone();
-            request.spec = spec_for_strategy(plan.strategy, &req.spec);
             Ok(Planned {
                 request,
                 plan,
@@ -1092,6 +1070,33 @@ impl QueryEngine {
         });
         self.metrics.histogram("stage_ns.plan").record(plan_ns);
         planned.map(Some)
+    }
+
+    /// Plans one `estimator: auto` request over its graph's features:
+    /// the plan to echo, and the request rewritten to name the chosen
+    /// strategy outright. The only caller of [`biorank_rank::plan`] in
+    /// the service, and a pure function of its arguments — the model
+    /// is [`CostModel::default`], never anything this engine has
+    /// served, so a request plans identically on every engine over
+    /// the same world.
+    fn plan_request(req: &QueryRequest, graph: GraphFeatures) -> (QueryRequest, Plan) {
+        let features = PlanFeatures::for_request(
+            graph,
+            match req.coverage() {
+                Coverage::TopK(k) => Some(k as u32),
+                Coverage::Full => None,
+            },
+            match req.spec.trials {
+                Trials::Fixed(n) => TrialsPolicy::Fixed(n),
+                Trials::Adaptive(cfg) => TrialsPolicy::Adaptive {
+                    max_trials: cfg.max_trials,
+                },
+            },
+        );
+        let plan = biorank_rank::plan(&features, &CostModel::default());
+        let mut request = req.clone();
+        request.spec = spec_for_strategy(plan.strategy, &req.spec);
+        (request, plan)
     }
 
     /// The planner features of one query's integrated graph, through
@@ -1109,142 +1114,52 @@ impl QueryEngine {
                 (computed, true)
             }
         };
-        let features = GraphFeatures::extract(&integration.query)
-            .with_schema_reducible(self.schema_reducible(query));
+        let features = self.graph_features(query, &integration);
         self.features.insert(query.clone(), features);
         Ok((features, fresh))
     }
 
-    /// Theorem 3.2 verdict for one query's schema shape under this
-    /// engine's compose hints (see [`query_schema_reducible`]).
-    fn schema_reducible(&self, query: &ExploratoryQuery) -> bool {
-        query_schema_reducible(self.mediator.schema(), &self.hints, query)
-    }
-
-    /// Post-execution bookkeeping of a planned request: patches the
-    /// response's provenance flags, attaches the plan echo, and — for
-    /// computed (non-cache-hit) executions — feeds the
-    /// observed/predicted latency pair into the calibration
-    /// histograms, recalibrating every [`RECALIBRATION_INTERVAL`]
-    /// planned computations.
-    fn note_planned(&self, response: &mut QueryResponse, planned: &Planned) {
-        if planned.fresh_graph {
-            response.cached_graph = false;
-        }
-        if !response.cached_scores {
-            let strategy = planned.plan.strategy;
-            self.metrics
-                .histogram(observed_metric(strategy))
-                .record(response.micros.saturating_mul(1_000));
-            self.metrics
-                .histogram(predicted_metric(strategy))
-                .record(planned.plan.predicted_ns);
-            let planned_so_far = self.planned.fetch_add(1, Ordering::Relaxed) + 1;
-            if planned_so_far % RECALIBRATION_INTERVAL == 0 {
-                self.recalibrate();
-            }
-        }
-        response.plan = Some(planned.plan);
-    }
-
-    /// One cost-model calibration round against this engine's current
-    /// metrics. Returns `true` (and bumps `planner.recalibrations`)
-    /// when any model constant moved. Runs automatically every
-    /// [`RECALIBRATION_INTERVAL`] planned computations; public so
-    /// operators and tests can force a round.
-    pub fn recalibrate(&self) -> bool {
-        let snapshot = self.metrics.snapshot();
-        self.recalibrate_from(&snapshot)
-    }
-
-    /// Calibration from an explicit snapshot. Deterministic: the same
-    /// snapshot applied to the same model always yields the same
-    /// blended model (see [`CostModel::calibrate`]).
-    pub fn recalibrate_from(&self, snapshot: &MetricsSnapshot) -> bool {
-        let input = Self::calibration_input(snapshot);
-        let moved = self
-            .planner
-            .lock()
-            .expect("planner model")
-            .calibrate(&input);
-        if moved {
-            self.metrics.counter("planner.recalibrations").inc();
-        }
-        moved
-    }
-
-    /// Distills a metrics snapshot into the planner's calibration
-    /// shape: per-strategy observed/predicted latency means from the
-    /// `planner.{observed,predicted}_ns.*` histograms, plus the mean
-    /// adaptive trial fraction from `trials_used` (normalized against
-    /// the default ceiling every adaptive client inherits).
-    fn calibration_input(snapshot: &MetricsSnapshot) -> CalibrationInput {
-        let mut input = CalibrationInput::default();
-        for strategy in Strategy::ALL {
-            let observed = snapshot.histogram(observed_metric(strategy));
-            let predicted = snapshot.histogram(predicted_metric(strategy));
-            if observed.count > 0 && predicted.count > 0 {
-                input.observed[strategy.index()] = Some(StrategyTelemetry {
-                    observed_mean_ns: observed.mean(),
-                    predicted_mean_ns: predicted.mean(),
-                    samples: observed.count,
-                });
-            }
-        }
-        let trials = snapshot.histogram("trials_used");
-        if trials.count >= biorank_rank::planner::MIN_CALIBRATION_SAMPLES {
-            input.mean_trials_frac = Some(trials.mean() / f64::from(RankerSpec::DEFAULT_TRIALS));
-        }
-        input
-    }
-
-    /// The planner's view of one trial policy.
-    fn trials_policy(trials: Trials) -> TrialsPolicy {
-        match trials {
-            Trials::Fixed(n) => TrialsPolicy::Fixed(n),
-            Trials::Adaptive(cfg) => TrialsPolicy::Adaptive {
-                max_trials: cfg.max_trials,
-            },
-        }
+    /// Extracts the planner features of one integrated query: the
+    /// graph's structure plus the Theorem 3.2 verdict for the query's
+    /// schema shape under this engine's compose hints (see
+    /// [`query_schema_reducible`]).
+    fn graph_features(
+        &self,
+        query: &ExploratoryQuery,
+        integration: &IntegrationResult,
+    ) -> GraphFeatures {
+        GraphFeatures::extract(&integration.query).with_schema_reducible(query_schema_reducible(
+            self.mediator.schema(),
+            &self.hints,
+            query,
+        ))
     }
 
     /// Integrates and ranks without touching the caches (used by the
     /// cache-coherence test to cross-check cached responses). `auto`
-    /// requests are planned here too — against the same live model,
-    /// so an uncached cross-check sees the same strategy `execute`
-    /// resolves to.
+    /// requests are planned here too — by the same pure function
+    /// [`execute`](Self::execute) resolves them with, so an uncached
+    /// cross-check always sees the same strategy.
     pub fn execute_uncached(&self, req: &QueryRequest) -> Result<QueryResponse, Error> {
         let start = Instant::now();
         let integration = self.mediator.execute(&req.query)?;
-        let mut spec = req.spec;
-        let mut plan_echo = None;
-        if spec.estimator == Some(Estimator::Auto) && spec.method.is_plannable() {
-            let features = PlanFeatures::for_request(
-                GraphFeatures::extract(&integration.query)
-                    .with_schema_reducible(self.schema_reducible(&req.query)),
-                match req.coverage() {
-                    Coverage::TopK(k) => Some(k as u32),
-                    Coverage::Full => None,
-                },
-                Self::trials_policy(spec.trials),
-            );
-            let plan = biorank_rank::plan(&features, &self.planner_model());
-            spec = spec_for_strategy(plan.strategy, &req.spec);
-            plan_echo = Some(plan);
-        }
-        let resolved = QueryRequest {
-            spec,
-            ..req.clone()
+        let planned = req
+            .spec
+            .wants_plan()
+            .then(|| Self::plan_request(req, self.graph_features(&req.query, &integration)));
+        let (resolved, plan) = match &planned {
+            Some((request, plan)) => (request, Some(*plan)),
+            None => (req, None),
         };
         let (ranked, _) = Self::rank(
             &integration,
             &resolved.query,
-            &spec,
+            &resolved.spec,
             resolved.coverage(),
             None,
         )?;
         let mut response = Self::assemble(&ranked, req.top, false, false, start);
-        response.plan = plan_echo;
+        response.plan = plan;
         Ok(response)
     }
 
@@ -1483,8 +1398,6 @@ impl QueryEngine {
 /// `trials`, `seed`, and `parallel` survive verbatim, only the
 /// `(method, estimator)` pair is rewritten — so a planned execution
 /// is byte-identical to a client naming the strategy outright.
-/// Shared by [`QueryEngine`] and the CLI's local `--estimator auto`
-/// path.
 pub fn spec_for_strategy(strategy: Strategy, spec: &RankerSpec) -> RankerSpec {
     let (method, estimator) = match strategy {
         Strategy::Exact => (Method::Exact, None),
@@ -1503,8 +1416,7 @@ pub fn spec_for_strategy(strategy: Strategy, spec: &RankerSpec) -> RankerSpec {
 /// set must check out reducible from the query root under the given
 /// compose hints. Conservative by design — unknown entity sets (or
 /// empty hints) read as irreducible, which only costs the planner the
-/// exact strategy. Shared by [`QueryEngine`] and the CLI's local
-/// `--estimator auto` path.
+/// exact strategy.
 pub fn query_schema_reducible(
     schema: &Schema,
     hints: &ComposeHints,
@@ -1534,30 +1446,9 @@ fn chosen_metric(strategy: Strategy) -> &'static str {
     }
 }
 
-/// `planner.observed_ns.<strategy>` histogram name.
-fn observed_metric(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::Exact => "planner.observed_ns.exact",
-        Strategy::ReducedMc => "planner.observed_ns.reduced",
-        Strategy::WordMc => "planner.observed_ns.word",
-        Strategy::TraversalMc => "planner.observed_ns.traversal",
-    }
-}
-
-/// `planner.predicted_ns.<strategy>` histogram name.
-fn predicted_metric(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::Exact => "planner.predicted_ns.exact",
-        Strategy::ReducedMc => "planner.predicted_ns.reduced",
-        Strategy::WordMc => "planner.predicted_ns.word",
-        Strategy::TraversalMc => "planner.predicted_ns.traversal",
-    }
-}
-
 /// Runs one adaptive Monte Carlo execution through the same
 /// `(method, estimator) → engine` dispatch [`QueryEngine`] scores
-/// with, shared with the CLI's local-query path so the two can never
-/// diverge. `method` must be stochastic; `estimator` selects the
+/// with. `method` must be stochastic; `estimator` selects the
 /// engine for [`Method::TraversalMc`] and is ignored by
 /// [`Method::Reliability`] (reduction + traversal batches). A `top_k`
 /// restricts certification to that prefix and its boundary gap

@@ -86,7 +86,6 @@ pub use engine::{
     query_schema_reducible, run_adaptive, spec_for_strategy, AdaptiveConfig, Coverage, EngineStats,
     Estimator, Method, QueryEngine, QueryRequest, QueryResponse, RankedAnswer, RankedResult,
     RankerSpec, Trials, DEFAULT_CACHE_CAPACITY, FUSION_LANES, PARALLEL_MC_CHUNKS,
-    RECALIBRATION_INTERVAL,
 };
 pub use persist::{export_snapshot, import_snapshot, snapshot_spec};
 pub use pool::WorkerPool;

@@ -23,15 +23,16 @@
 //!
 //! **Planning is opt-out, not invisible.** The serve default is
 //! `estimator: "auto"`: the engine scores exact / reduced / word /
-//! traversal strategies against a calibrated cost model and runs the
+//! traversal strategies against a fixed cost model and runs the
 //! cheapest, echoing `plan: {strategy, predicted_ns, fallback,
-//! features}` on the response next to the certificate. The echo is
-//! observational only — a planned request and an explicit request for
-//! the chosen strategy share one cache entry and identical answer
-//! bytes. An explicit `estimator` (or a non-`mc` method) routes
-//! around the planner entirely. Per-world `planner.chosen.<strategy>`,
-//! `planner.fallback`, and `planner.recalibrations` counters appear in
-//! the `metrics` admin op, and `world.list` rows carry the same
+//! features}` on the response next to the certificate. The plan is a
+//! pure function of the echoed features — what the server answered
+//! before never changes it. The echo is observational only — a planned
+//! request and an explicit request for the chosen strategy share one
+//! cache entry and identical answer bytes. An explicit `estimator` (or
+//! a non-`mc` method) routes around the planner entirely. Per-world
+//! `planner.chosen.<strategy>` and `planner.fallback` counters appear
+//! in the `metrics` admin op, and `world.list` rows carry the same
 //! chosen-strategy rollup.
 //!
 //! **Metrics histogram echo.** The `metrics` admin op serialises each
@@ -200,8 +201,8 @@ impl Default for ServeOptions {
     /// under the adaptive (ε = 0.02, δ = 0.05, ceiling 10⁴) trial
     /// policy. The planner scores the closed exact solution, reduced
     /// traversal MC, the wide word engine, and plain traversal MC
-    /// against a telemetry-calibrated cost model per query and runs
-    /// the cheapest — the chosen plan is echoed on the response.
+    /// against a fixed cost model per query and runs the cheapest —
+    /// the chosen plan is echoed on the response.
     /// Clients opt out of planning with an explicit `estimator:
     /// "word"`/`"traversal"` per request (never overridden), or pin
     /// the paper's fixed reference schedule with an explicit `trials`

@@ -159,6 +159,24 @@ if [ "$served_total" -ne 5 ]; then
     echo "queries counter reads $served_total, expected 5 (4 planned + 1 forced)" >&2
     exit 1
 fi
+# CLI parity: `query` without --addr runs the same request in-process
+# on a fresh engine, so its certificate and answer rows must equal the
+# server's (the header line carries the address and wall-clock micros).
+echo "==> biorank query local == --addr parity smoke"
+for extra in "" "--certify-top"; do
+    parity_args="GALT --method mc --estimator word --trials 1000 --top 5 $extra"
+    # shellcheck disable=SC2086
+    local_rows="$(./target/release/biorank query $parity_args | grep -v "candidate functions")"
+    # shellcheck disable=SC2086
+    remote_rows="$(./target/release/biorank query $parity_args --addr "$addr" | grep -v "candidate functions")"
+    echo "$local_rows" >&2
+    [ "$(echo "$local_rows" | wc -l)" -ge 5 ]
+    if [ "$local_rows" != "$remote_rows" ]; then
+        echo "local and --addr answers differ for: biorank query $parity_args" >&2
+        diff <(echo "$local_rows") <(echo "$remote_rows") >&2 || true
+        exit 1
+    fi
+done
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 

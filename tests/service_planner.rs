@@ -1,9 +1,10 @@
 //! The cost-based query planner end to end: `estimator: "auto"`
 //! resolves to a concrete strategy before any cache key is formed, the
 //! chosen plan is echoed on the response (and only observed — it is
-//! never a cache-key dimension), plans are deterministic under a fixed
-//! calibration snapshot, and a planned execution is byte-identical to
-//! a client naming the chosen strategy outright.
+//! never a cache-key dimension), a plan is a pure function of the
+//! request and its graph (nothing an engine served before can move
+//! it), and a planned execution is byte-identical to a client naming
+//! the chosen strategy outright.
 
 use std::sync::Arc;
 
@@ -11,7 +12,7 @@ use biorank::mediator::Mediator;
 use biorank::prelude::*;
 use biorank::service::{
     spec_for_strategy, AdaptiveConfig, Client, Estimator, Method, QueryEngine, QueryRequest,
-    RankerSpec, ServeOptions, Server, ServerHandle, Trials,
+    RankerSpec, ServeOptions, Server, ServerHandle, Trials, WorldSpec, DEFAULT_CACHE_CAPACITY,
 };
 
 fn fresh_engine() -> QueryEngine {
@@ -80,31 +81,133 @@ fn auto_resolves_to_a_strategy_and_echoes_the_plan() {
 }
 
 #[test]
-fn same_query_and_calibration_snapshot_yield_the_same_plan() {
-    // Accumulate real planner telemetry on one engine, then freeze it.
+fn a_teacher_engine_and_a_fresh_engine_plan_identically() {
+    // One engine that has served planned traffic, one that has served
+    // nothing: the same request must plan the same way on both —
+    // strategy, prediction, and features.
     let teacher = fresh_engine();
     for protein in ["GALT", "CFTR", "LPL"] {
         teacher
             .execute(&QueryRequest::protein_functions(protein, auto_spec()))
-            .expect("telemetry query");
+            .expect("teacher traffic");
     }
-    let snapshot = teacher.metrics_snapshot();
-
-    // Two fresh engines calibrated from the same snapshot must plan
-    // the same query identically — strategy, prediction, and features.
     let req = QueryRequest::protein_functions("GALT", auto_spec());
-    let plans: Vec<_> = (0..2)
-        .map(|_| {
-            let engine = fresh_engine();
-            engine.recalibrate_from(&snapshot);
-            engine
-                .execute(&req)
-                .expect("planned query")
-                .plan
-                .expect("plan echo")
-        })
+    let taught = teacher.execute(&req).expect("teacher repeat").plan;
+    let fresh = fresh_engine().execute(&req).expect("fresh query").plan;
+    assert!(taught.is_some(), "auto responses carry a plan echo");
+    assert_eq!(taught, fresh);
+}
+
+#[test]
+fn plans_and_score_bits_do_not_depend_on_what_the_engine_served_before() {
+    // The 11-source federation is where history used to leak: a cold
+    // planned request there spends tens of milliseconds outside the
+    // estimator, and a model fed whole-request wall time inflated the
+    // word engine's predicted cost every 64 computed planned runs
+    // until `auto` flipped to a 12x slower strategy with different
+    // score bits for an identical request.
+    let engine = WorldSpec {
+        seed: WorldParams::default().seed,
+        extended: true,
+        cache_capacity: DEFAULT_CACHE_CAPACITY,
+    }
+    .build();
+    let fixed_auto = |trials: u32| RankerSpec {
+        trials: Trials::Fixed(trials),
+        ..auto_spec()
+    };
+    let probe = QueryRequest::protein_functions("ABCC8", fixed_auto(9_999));
+    let before = engine.execute(&probe).expect("cold probe");
+    assert!(!before.cached_scores);
+    let plan = before.plan.expect("plan echo");
+
+    // More than 4 x 64 other computed planned requests: every protein
+    // under several trial budgets (each a distinct result-cache key).
+    let proteins: Vec<String> = World::generate(WorldParams::default())
+        .profiles
+        .iter()
+        .map(|p| p.name.clone())
         .collect();
-    assert_eq!(plans[0], plans[1]);
+    let mut computed = 0;
+    for trials in (1..=9).map(|i| 64 * i) {
+        for protein in &proteins {
+            let resp = engine
+                .execute(&QueryRequest::protein_functions(
+                    protein,
+                    fixed_auto(trials),
+                ))
+                .expect("history traffic");
+            assert!(resp.plan.is_some());
+            computed += usize::from(!resp.cached_scores);
+        }
+    }
+    assert!(computed >= 4 * 64, "only {computed} computed planned runs");
+
+    // The same request again, recomputed from scratch on the engine
+    // that served all of the above (`execute_uncached` plans with the
+    // engine's planner and reads no cache): same plan, same bits.
+    let after = engine.execute_uncached(&probe).expect("uncached probe");
+    assert_eq!(after.plan, Some(plan), "history moved the plan");
+    assert_eq!(after.answers.len(), before.answers.len());
+    for (a, b) in after.answers.iter().zip(&before.answers) {
+        assert_eq!(a.key, b.key);
+        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{}", a.key);
+    }
+    // And the cached repeat explains itself with the same plan.
+    let hit = engine.execute(&probe).expect("cached probe");
+    assert!(hit.cached_scores);
+    assert_eq!(hit.plan, Some(plan));
+}
+
+#[test]
+fn planner_metric_names_are_the_documented_ones() {
+    // One planned and one explicit request on a fresh engine: the only
+    // `planner.` series that exist are the decision counters actually
+    // bumped — no per-strategy latency histograms, no model-update
+    // counter — and the README names the same families.
+    let engine = fresh_engine();
+    let auto = engine
+        .execute(&QueryRequest::protein_functions("GALT", auto_spec()))
+        .expect("auto query");
+    let plan = auto.plan.expect("plan echo");
+    engine
+        .execute(&QueryRequest::protein_functions(
+            "CFTR",
+            spec_for_strategy(plan.strategy, &auto_spec()),
+        ))
+        .expect("explicit query");
+
+    let snap = engine.metrics_snapshot();
+    let registered: Vec<&str> = snap
+        .counters
+        .keys()
+        .chain(snap.gauges.keys())
+        .chain(snap.histograms.keys())
+        .map(String::as_str)
+        .filter(|name| name.starts_with("planner."))
+        .collect();
+    let mut expected = vec![format!("planner.chosen.{}", plan.strategy.wire_name())];
+    if plan.fallback {
+        expected.push("planner.fallback".to_string());
+    }
+    assert_eq!(registered, expected);
+
+    let readme = include_str!("../README.md");
+    for name in ["`planner.chosen.<strategy>`", "`planner.fallback`"] {
+        assert!(readme.contains(name), "README does not document {name}");
+    }
+    let documented: std::collections::BTreeSet<&str> = readme
+        .split(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '.' | '_')))
+        .filter(|word| word.starts_with("planner.") && *word != "planner.rs")
+        .map(|word| word.trim_end_matches('.'))
+        // A bare `planner.*` names the whole family, not a series.
+        .filter(|word| *word != "planner")
+        .collect();
+    assert_eq!(
+        documented.into_iter().collect::<Vec<_>>(),
+        ["planner.chosen", "planner.fallback"],
+        "README names a planner.* series the engine does not emit"
+    );
 }
 
 #[test]
