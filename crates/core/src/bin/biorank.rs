@@ -106,9 +106,11 @@
 //!   --fault-plan SPEC                     fault injection for overload
 //!                                         testing: comma-separated
 //!                                         key=value among accept_delay_ms,
-//!                                         response_delay_ms, blackhole,
-//!                                         short_write, close_after,
-//!                                         stall_batch_ms
+//!                                         response_delay_ms, blackhole
+//!                                         (replies swallowed), short_write
+//!                                         (half a line, then EOF),
+//!                                         close_after=N (N replies, then
+//!                                         EOF), stall_batch_ms
 //!
 //! `biorank serve` drains gracefully on SIGTERM: the listener stops,
 //! in-flight queries finish under --drain-deadline-ms, durable worlds

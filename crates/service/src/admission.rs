@@ -299,12 +299,15 @@ pub struct FaultPlan {
     /// Sleep this long before writing each response line
     /// (`response_delay_ms=N`).
     pub response_delay_ms: u64,
-    /// Never write responses — drain them silently (`blackhole`).
+    /// Never write responses — drain them silently; the connection
+    /// stays open and its requests are still counted (`blackhole`).
     pub blackhole: bool,
-    /// Write only half of each response line, then close the
-    /// connection (`short_write`).
+    /// Write the first half of the first response line — never its
+    /// newline — then shut the connection down in both directions:
+    /// the peer reads the fragment, then EOF (`short_write`).
     pub short_write: bool,
-    /// Close the connection's write side after this many complete
+    /// Shut the connection down (both directions: the peer reads EOF,
+    /// later request lines are not executed) after this many complete
     /// responses; 0 disables (`close_after=N`).
     pub close_after: u64,
     /// Stall every estimator block (`FUSION_LANES` batches) by this long,

@@ -7,6 +7,13 @@
 //! absorbs out-of-order completions). Clients may therefore pipeline
 //! requests freely and match responses positionally or by id.
 //!
+//! **Transport.** One line = one buffer = one `write`, on a
+//! `TCP_NODELAY` socket, in both directions: written as body then
+//! `\n`, Nagle holds the `\n` segment until the body is ACKed, and a
+//! peer waiting for that newline delays the ACK ~40 ms. A writer that
+//! stops early (write error or timeout, injected hang-up) shuts the
+//! socket down both ways, so the peer sees EOF, never a stall.
+//!
 //! Requests route through a [`WorldManager`]: a query names a resident
 //! world (or defaults to [`DEFAULT_WORLD`](crate::tenancy::DEFAULT_WORLD)),
 //! and admin lines (`world.load`, `world.swap`, `world.evict`,
@@ -84,8 +91,8 @@
 //! worlds_checkpointed,dropped_in_flight}` account for the shutdown.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -513,25 +520,27 @@ fn handle_connection(
     slow_log: Arc<SlowQueryLog>,
     handle: ServerHandle,
 ) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     if defaults.read_timeout_ms > 0 {
         stream.set_read_timeout(Some(Duration::from_millis(defaults.read_timeout_ms)))?;
     }
-    let peer_write = stream.try_clone()?;
+    let mut peer_write = stream.try_clone()?;
     if defaults.write_timeout_ms > 0 {
         peer_write.set_write_timeout(Some(Duration::from_millis(defaults.write_timeout_ms)))?;
     }
     let fault = defaults.fault;
 
-    // Writer thread: re-sequences (seq, line) pairs into socket order.
+    // Writer thread: re-sequences (seq, line) pairs into socket order;
+    // a line and its newline leave in ONE `write` on the no-delay
+    // socket (module docs, *Transport*).
     let (line_tx, line_rx) = channel::<(u64, String)>();
-    let writer = std::thread::spawn(move || -> std::io::Result<()> {
-        let mut out = BufWriter::new(peer_write);
+    let writer = std::thread::spawn(move || {
         let mut next: u64 = 0;
         let mut written: u64 = 0;
         let mut pending: BTreeMap<u64, String> = BTreeMap::new();
-        for (seq, line) in line_rx {
+        'conn: for (seq, line) in line_rx {
             pending.insert(seq, line);
-            while let Some(line) = pending.remove(&next) {
+            while let Some(mut line) = pending.remove(&next) {
                 next += 1;
                 if fault.response_delay_ms > 0 {
                     std::thread::sleep(Duration::from_millis(fault.response_delay_ms));
@@ -539,22 +548,21 @@ fn handle_connection(
                 if fault.blackhole {
                     continue; // injected: swallow the response
                 }
-                if fault.short_write {
-                    // Injected: half the bytes, then hang up.
-                    out.write_all(&line.as_bytes()[..line.len() / 2])?;
-                    out.flush()?;
-                    return Ok(());
-                }
-                out.write_all(line.as_bytes())?;
-                out.write_all(b"\n")?;
-                out.flush()?;
+                // Injected `short_write`: half the line, never its newline.
+                let torn = line.len() / 2;
+                line.push('\n');
+                let end = if fault.short_write { torn } else { line.len() };
+                let sent = peer_write.write_all(&line.as_bytes()[..end]);
                 written += 1;
-                if fault.close_after > 0 && written >= fault.close_after {
-                    return Ok(()); // injected: close mid-conversation
+                let hang_up = fault.close_after > 0 && written >= fault.close_after;
+                if sent.is_err() || fault.short_write || hang_up {
+                    break 'conn;
                 }
             }
         }
-        Ok(())
+        // Both directions, not just this clone: the peer gets its EOF
+        // and the reader loop stops submitting queries nobody answers.
+        let _ = peer_write.shutdown(Shutdown::Both);
     });
 
     let metrics = Arc::clone(manager.metrics());
@@ -921,10 +929,10 @@ pub struct ClientOptions {
     pub io_timeout: Option<Duration>,
 }
 
-/// A blocking client for the line protocol.
+/// A blocking client for the line protocol: buffered reads, and one
+/// `write` per outgoing batch straight to the no-delay socket.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    stream: BufReader<TcpStream>,
     next_id: u64,
 }
 
@@ -963,21 +971,21 @@ impl Client {
                 })?
             }
         };
+        stream.set_nodelay(true)?;
         if let Some(timeout) = opts.io_timeout {
             stream.set_read_timeout(Some(timeout))?;
             stream.set_write_timeout(Some(timeout))?;
         }
-        let writer = BufWriter::new(stream.try_clone()?);
         Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
+            stream: BufReader::new(stream),
             next_id: 1,
         })
     }
 
-    fn read_response(&mut self) -> Result<wire::Response, crate::Error> {
+    /// Reads the next response line, which must answer request `id`.
+    fn read_response(&mut self, id: u64) -> Result<wire::Response, crate::Error> {
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+        let n = self.stream.read_line(&mut line)?;
         if n == 0 {
             return Err(crate::Error::Remote("server closed connection".into()));
         }
@@ -987,7 +995,14 @@ impl Client {
         if let Some(retry_after_ms) = wire::parse_overload_line(line) {
             return Err(crate::Error::Overloaded { retry_after_ms });
         }
-        Ok(wire::decode_response(line)?)
+        let response = wire::decode_response(line)?;
+        if response.id != id {
+            return Err(crate::Error::Remote(format!(
+                "response id {} does not match request id {id}",
+                response.id
+            )));
+        }
+        Ok(response)
     }
 
     /// Executes one query with bounded retries on overload sheds:
@@ -1045,28 +1060,20 @@ impl Client {
         reqs: &[crate::engine::QueryRequest],
     ) -> Result<Vec<Result<crate::engine::QueryResponse, crate::Error>>, crate::Error> {
         let first_id = self.next_id;
+        let mut batch = String::new();
         for req in reqs {
             let request = wire::Request {
                 id: self.next_id,
                 body: RequestBody::Query(req.clone()),
             };
             self.next_id += 1;
-            self.writer
-                .write_all(wire::encode_request(&request).as_bytes())?;
-            self.writer.write_all(b"\n")?;
+            batch.push_str(&wire::encode_request(&request));
+            batch.push('\n');
         }
-        self.writer.flush()?;
+        self.stream.get_mut().write_all(batch.as_bytes())?;
         let mut out = Vec::with_capacity(reqs.len());
         for i in 0..reqs.len() {
-            let response = self.read_response()?;
-            let expect = first_id + i as u64;
-            if response.id != expect {
-                return Err(crate::Error::Remote(format!(
-                    "response id {} does not match request id {expect}",
-                    response.id
-                )));
-            }
-            out.push(match response.outcome {
+            out.push(match self.read_response(first_id + i as u64)?.outcome {
                 Ok(ResponseBody::Query(resp)) => Ok(resp),
                 Ok(ResponseBody::Admin(_)) => Err(crate::Error::Remote(
                     "server answered a query with an admin payload".into(),
@@ -1085,18 +1092,10 @@ impl Client {
             id,
             body: RequestBody::Admin(admin),
         };
-        self.writer
-            .write_all(wire::encode_request(&request).as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let response = self.read_response()?;
-        if response.id != id {
-            return Err(crate::Error::Remote(format!(
-                "response id {} does not match request id {id}",
-                response.id
-            )));
-        }
-        match response.outcome {
+        let mut line = wire::encode_request(&request);
+        line.push('\n');
+        self.stream.get_mut().write_all(line.as_bytes())?;
+        match self.read_response(id)?.outcome {
             Ok(ResponseBody::Admin(resp)) => Ok(resp),
             Ok(ResponseBody::Query(_)) => Err(crate::Error::Remote(
                 "server answered an admin command with a query payload".into(),

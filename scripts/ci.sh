@@ -51,6 +51,13 @@ cargo test -q --test service_metrics
 echo "==> cargo test -q --test service_store"
 cargo test -q --test service_store
 
+# The transport contract: a reply over 8 KiB must not wait out a
+# Nagle/delayed-ACK round (one `write` per line, TCP_NODELAY), and the
+# injected hang-ups (`short_write`, `close_after`) must reach the peer
+# as EOF, not as a hang.
+echo "==> cargo test -q --test service_transport"
+cargo test -q --test service_transport
+
 # Smoke top-k boundary certification over the wire through the real
 # binary: start a serve on an ephemeral port, issue a --certify-top
 # query, and require the top-k certificate in the human output.
