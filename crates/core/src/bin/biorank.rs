@@ -127,8 +127,8 @@
 //!                                         queries into the fresh engine
 //!                                         (default 8; 0 installs cold)
 //!   world.evict NAME                                      drop a resident world
-//!   world.save NAME                       write NAME's snapshot (spec + both
-//!                                         cache layers) to the server's data
+//!   world.save NAME                       write NAME's snapshot (spec + the
+//!                                         result cache) to the server's data
 //!                                         directory (serve --data-dir)
 //!   checkpoint                            snapshot every resident world,
 //!                                         rewrite the manifest, truncate the

@@ -1341,42 +1341,30 @@ impl QueryEngine {
         count
     }
 
-    /// Both cache layers' entries, most-recently-used first — the raw
+    /// The result cache's entries, most-recently-used first — the raw
     /// material of a durable snapshot (see `crate::persist`). The
-    /// `Arc`s are clones; exporting never blocks the query path beyond
-    /// the per-shard locks a normal lookup takes.
-    #[allow(clippy::type_complexity)]
-    pub fn export_cache(
-        &self,
-    ) -> (
-        Vec<(ExploratoryQuery, Arc<IntegrationResult>)>,
-        Vec<((ExploratoryQuery, RankerSpec), Arc<RankedResult>)>,
-    ) {
-        (
-            self.graphs.hot_entries(usize::MAX),
-            self.results.hot_entries(usize::MAX),
-        )
+    /// graph cache is not exported: it is a pure function of world and
+    /// query and refills on the first miss. The `Arc`s are clones;
+    /// exporting never blocks the query path beyond the per-shard
+    /// locks a normal lookup takes.
+    pub fn export_cache(&self) -> Vec<((ExploratoryQuery, RankerSpec), Arc<RankedResult>)> {
+        self.results.hot_entries(usize::MAX)
     }
 
-    /// Replays exported cache entries (see
+    /// Replays exported result entries (see
     /// [`export_cache`](QueryEngine::export_cache)) into this engine
     /// **verbatim** — no recomputation, so a snapshot restore is
     /// bit-identical by construction where [`QueryEngine::warm`]
     /// merely re-runs the same requests. Entries arrive MRU-first and
     /// are inserted in reverse, so the restored LRU order matches the
-    /// exported one. Every imported result entry counts on
-    /// `warm.replayed` and joins the warm set (first client hit counts
-    /// on `warm.hits`), exactly like a swap warm-up. Returns the
-    /// number of result entries imported.
-    #[allow(clippy::type_complexity)]
+    /// exported one. Every imported entry counts on `warm.replayed`
+    /// and joins the warm set (first client hit counts on
+    /// `warm.hits`), exactly like a swap warm-up. Returns the number
+    /// of entries imported.
     pub fn import_cache(
         &self,
-        graphs: Vec<(ExploratoryQuery, Arc<IntegrationResult>)>,
         results: Vec<((ExploratoryQuery, RankerSpec), Arc<RankedResult>)>,
     ) -> usize {
-        for (query, res) in graphs.into_iter().rev() {
-            self.graphs.insert(query, res);
-        }
         let mut keys = Vec::new();
         for ((query, spec), ranked) in results.into_iter().rev() {
             self.metrics.counter("warm.replayed").inc();

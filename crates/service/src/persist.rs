@@ -1,24 +1,25 @@
 //! Service-side snapshot payload codec: the bridge between a live
 //! [`QueryEngine`] and the [`biorank_store`] container files.
 //!
-//! A snapshot freezes a resident world's *cached state* — its spec
-//! plus both engine cache layers — so a `--data-dir` restart answers
-//! the same queries bit-identically from the reloaded entries instead
-//! of rebuilding and recomputing. The payload layout (inside a
+//! A snapshot freezes a resident world's *durable product* — its spec
+//! plus the result cache, the ranked and certified answer lists — so a
+//! `--data-dir` restart answers the same queries bit-identically from
+//! the reloaded entries instead of re-running Monte Carlo. The graph
+//! cache is not part of it: an integrated query graph is a
+//! deterministic function of the world and the query, so it refills
+//! through the ordinary miss path (~0.3 ms per query, once). The
+//! payload layout (inside a version-2
 //! [`FileKind::Snapshot`](biorank_store::FileKind::Snapshot)
 //! container, which supplies magic, version, and checksum):
 //!
 //! ```text
 //! [seed: u64][extended: bool][cache_capacity: u64]      world spec
 //! [spec_hash: u64]                                      fingerprint of the spec above
-//! [graph entries: u64 count]
-//!   count × [query][integration result]                 MRU first
 //! [result entries: u64 count]
 //!   count × [query][ranker spec][ranked result]         MRU first
 //! ```
 //!
-//! Every float is encoded as its IEEE-754 bit pattern, every graph via
-//! the slot-preserving codec in [`biorank_store::codec`], so a decoded
+//! Every float is encoded as its IEEE-754 bit pattern, so a decoded
 //! entry is **bit-identical** to the one exported — the round-trip
 //! guarantee the restart test asserts under every estimator.
 //!
@@ -27,16 +28,11 @@
 //! after the world was re-loaded with a different seed must never leak
 //! stale answers); the caller falls back to a cold rebuild.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use biorank_graph::{NodeId, Prob};
-use biorank_mediator::{ExploratoryQuery, IntegrationResult, IntegrationStats};
+use biorank_mediator::ExploratoryQuery;
 use biorank_rank::{Certificate, CertificateMode};
-use biorank_sources::Record;
-use biorank_store::{
-    decode_query_graph, encode_query_graph, Reader, StoreError, StoredSpec, Writer,
-};
+use biorank_store::{Reader, StoreError, StoredSpec, Writer};
 
 use crate::engine::{
     AdaptiveConfig, Estimator, Method, QueryEngine, RankedAnswer, RankedResult, RankerSpec, Trials,
@@ -72,18 +68,30 @@ pub fn world_spec(stored: StoredSpec) -> Result<WorldSpec> {
     })
 }
 
-fn encode_spec(spec: WorldSpec, w: &mut Writer) {
+fn encode_header(spec: WorldSpec, w: &mut Writer) {
     w.u64(spec.seed);
     w.bool(spec.extended);
     w.u64(spec.cache_capacity as u64);
+    w.u64(spec.spec_hash());
 }
 
-fn decode_spec(r: &mut Reader<'_>) -> Result<WorldSpec> {
-    world_spec(StoredSpec {
+/// Reads a payload's header — the spec and the hash that must
+/// fingerprint it — for both [`snapshot_spec`] and
+/// [`import_snapshot`].
+fn decode_header(r: &mut Reader<'_>) -> Result<WorldSpec> {
+    let spec = world_spec(StoredSpec {
         seed: r.u64()?,
         extended: r.bool()?,
         cache_capacity: r.u64()?,
-    })
+    })?;
+    let hash = r.u64()?;
+    if hash != spec.spec_hash() {
+        return Err(corrupt(format!(
+            "snapshot spec hash {hash:#x} does not match spec (want {:#x})",
+            spec.spec_hash()
+        )));
+    }
+    Ok(spec)
 }
 
 fn encode_query(q: &ExploratoryQuery, w: &mut Writer) {
@@ -193,102 +201,6 @@ fn decode_ranker(r: &mut Reader<'_>) -> Result<RankerSpec> {
     })
 }
 
-fn encode_record(rec: &Record, w: &mut Writer) {
-    w.str(&rec.entity_set);
-    w.str(&rec.key);
-    w.str(&rec.label);
-    w.f64(rec.pr.get());
-    w.u64(rec.attrs.len() as u64);
-    for (k, v) in &rec.attrs {
-        w.str(k);
-        w.str(v);
-    }
-}
-
-fn decode_record(r: &mut Reader<'_>) -> Result<Record> {
-    let entity_set = r.str()?;
-    let key = r.str()?;
-    let label = r.str()?;
-    let pr =
-        Prob::new(r.f64()?).map_err(|e| corrupt(format!("invalid record probability: {e}")))?;
-    let n = r.u64()?;
-    let n = usize::try_from(n)
-        .ok()
-        .filter(|&n| n <= 1 << 20)
-        .ok_or_else(|| corrupt(format!("implausible attr count {n}")))?;
-    let mut attrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        attrs.push((r.str()?, r.str()?));
-    }
-    Ok(Record {
-        entity_set,
-        key,
-        label,
-        pr,
-        attrs,
-    })
-}
-
-fn encode_integration(res: &IntegrationResult, w: &mut Writer) {
-    encode_query_graph(&res.query, w);
-    w.u64(res.records.len() as u64);
-    for (node, rec) in &res.records {
-        w.u64(node.index() as u64);
-        encode_record(rec, w);
-    }
-    let s = res.stats;
-    for v in [
-        s.records_fetched,
-        s.links_followed,
-        s.dangling_links,
-        s.unmapped_links,
-        s.nodes_raw,
-        s.edges_raw,
-        s.nodes,
-        s.edges,
-    ] {
-        w.u64(v as u64);
-    }
-}
-
-fn decode_integration(r: &mut Reader<'_>) -> Result<IntegrationResult> {
-    let query = decode_query_graph(r)?;
-    let bound = query.graph().node_bound();
-    let n = r.u64()?;
-    let n = usize::try_from(n)
-        .ok()
-        .filter(|&n| n <= bound)
-        .ok_or_else(|| corrupt(format!("implausible record count {n}")))?;
-    let mut records = BTreeMap::new();
-    for _ in 0..n {
-        let i = r.u64()?;
-        let i = usize::try_from(i)
-            .ok()
-            .filter(|&i| i < bound)
-            .ok_or_else(|| corrupt(format!("record node {i} out of bound {bound}")))?;
-        records.insert(NodeId::from_index(i), decode_record(r)?);
-    }
-    let mut f = || -> Result<usize> {
-        let v = r.u64()?;
-        usize::try_from(v).map_err(|_| corrupt(format!("implausible stat {v}")))
-    };
-    let stats = IntegrationStats {
-        records_fetched: f()?,
-        links_followed: f()?,
-        dangling_links: f()?,
-        unmapped_links: f()?,
-        nodes_raw: f()?,
-        edges_raw: f()?,
-        nodes: f()?,
-        edges: f()?,
-    };
-    Ok(IntegrationResult {
-        query,
-        records,
-        stats,
-    })
-}
-
 fn encode_ranked(res: &RankedResult, w: &mut Writer) {
     w.u64(res.answers.len() as u64);
     for a in &res.answers {
@@ -361,20 +273,14 @@ fn decode_ranked(r: &mut Reader<'_>) -> Result<RankedResult> {
     })
 }
 
-/// Serializes a world's spec plus both engine cache layers into a
-/// snapshot payload ([`import_snapshot`] is the inverse). Entries are
-/// exported most-recently-used first, so the importer can rebuild the
-/// same recency order.
+/// Serializes a world's spec plus its result cache into a snapshot
+/// payload ([`import_snapshot`] is the inverse). Entries are exported
+/// most-recently-used first, so the importer can rebuild the same
+/// recency order.
 pub fn export_snapshot(engine: &QueryEngine, spec: WorldSpec) -> Vec<u8> {
-    let (graphs, results) = engine.export_cache();
+    let results = engine.export_cache();
     let mut w = Writer::new();
-    encode_spec(spec, &mut w);
-    w.u64(spec.spec_hash());
-    w.u64(graphs.len() as u64);
-    for (query, res) in &graphs {
-        encode_query(query, &mut w);
-        encode_integration(res, &mut w);
-    }
+    encode_header(spec, &mut w);
     w.u64(results.len() as u64);
     for ((query, rspec), ranked) in &results {
         encode_query(query, &mut w);
@@ -387,19 +293,10 @@ pub fn export_snapshot(engine: &QueryEngine, spec: WorldSpec) -> Vec<u8> {
 /// The spec a snapshot payload was exported from, without decoding
 /// the cache entries (cheap pre-flight check for restore paths).
 pub fn snapshot_spec(payload: &[u8]) -> Result<WorldSpec> {
-    let mut r = Reader::new(payload);
-    let spec = decode_spec(&mut r)?;
-    let hash = r.u64()?;
-    if hash != spec.spec_hash() {
-        return Err(corrupt(format!(
-            "snapshot spec hash {hash:#x} does not match spec (want {:#x})",
-            spec.spec_hash()
-        )));
-    }
-    Ok(spec)
+    decode_header(&mut Reader::new(payload))
 }
 
-/// Decodes a snapshot payload and replays its cache entries into
+/// Decodes a snapshot payload and replays its result entries into
 /// `engine`, which must have been built from `expected` — a payload
 /// whose embedded spec differs is rejected without touching the
 /// engine (the stale-snapshot guard). Returns the number of result
@@ -407,29 +304,11 @@ pub fn snapshot_spec(payload: &[u8]) -> Result<WorldSpec> {
 /// `warm.replayed`).
 pub fn import_snapshot(engine: &QueryEngine, payload: &[u8], expected: WorldSpec) -> Result<usize> {
     let mut r = Reader::new(payload);
-    let spec = decode_spec(&mut r)?;
-    let hash = r.u64()?;
-    if hash != spec.spec_hash() {
-        return Err(corrupt(format!(
-            "snapshot spec hash {hash:#x} does not match spec (want {:#x})",
-            spec.spec_hash()
-        )));
-    }
+    let spec = decode_header(&mut r)?;
     if spec != expected {
         return Err(corrupt(format!(
             "snapshot spec {spec:?} does not match expected {expected:?}"
         )));
-    }
-    let n = r.u64()?;
-    let n = usize::try_from(n)
-        .ok()
-        .filter(|&n| n <= 1 << 24)
-        .ok_or_else(|| corrupt(format!("implausible graph entry count {n}")))?;
-    let mut graphs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let query = decode_query(&mut r)?;
-        let res = decode_integration(&mut r)?;
-        graphs.push((query, Arc::new(res)));
     }
     let n = r.u64()?;
     let n = usize::try_from(n)
@@ -444,7 +323,7 @@ pub fn import_snapshot(engine: &QueryEngine, payload: &[u8], expected: WorldSpec
         results.push(((query, rspec), Arc::new(ranked)));
     }
     r.finish()?;
-    Ok(engine.import_cache(graphs, results))
+    Ok(engine.import_cache(results))
 }
 
 #[cfg(test)]
@@ -501,6 +380,8 @@ mod tests {
         let restored = spec.build();
         let imported = import_snapshot(&restored, &payload, spec).expect("import");
         assert_eq!(imported, specs().len());
+        // Only results travel: the graph layer refills on a miss.
+        assert_eq!(restored.stats().graphs.entries, 0);
 
         for (req, want) in &baseline {
             let got = restored.execute(req).expect("restored query");

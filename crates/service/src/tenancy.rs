@@ -23,6 +23,17 @@
 //!   [`WorldManager::budget`] stay resident; loading past the budget
 //!   evicts the least-recently-resolved world. The default world is
 //!   pinned and never evicted.
+//! * **One install step.** Every way an engine becomes resident —
+//!   `load`, `swap`, a background load, a warm-restart restore, the
+//!   default world of `with_default` — goes through one private
+//!   install: under the registry lock it makes room, assigns a fresh
+//!   generation (a restore adopts its recorded one) and inserts;
+//!   outside the lock it counts, refreshes the gauges, then WAL-logs
+//!   every victim plus the op. So every LRU victim is counted on
+//!   `tenancy.evict.lru` and durable, restores included — a reboot
+//!   under a smaller budget never resurrects what it evicted, and a
+//!   restore that cannot fit at all is logged as evicted too. Both
+//!   background paths share one spawner and its panic guard.
 //!
 //! Generations are drawn from one registry-wide monotonic counter
 //! (assigned under the registry lock), so they survive eviction with
@@ -34,7 +45,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use biorank_mediator::Mediator;
 use biorank_obs::{MetricsRegistry, MetricsSnapshot, SlowQueryEntry};
@@ -302,6 +313,100 @@ impl Registry {
         self.next_generation += 1;
         self.next_generation
     }
+
+    /// `Some` when `name` is resident: its generation if it holds
+    /// `spec`, [`TenancyError::SpecMismatch`] if it holds another.
+    fn resident(&self, name: &str, spec: WorldSpec) -> Option<Result<u64, TenancyError>> {
+        self.worlds.get(name).map(|e| {
+            if e.spec == spec {
+                Ok(e.generation)
+            } else {
+                Err(TenancyError::SpecMismatch(name.to_string()))
+            }
+        })
+    }
+
+    /// The least-recently-resolved worlds that must go before
+    /// `incoming` fits under `budget` (none when it is already
+    /// resident), or `None` when the pinned default world leaves too
+    /// few candidates.
+    fn lru_victims(&self, budget: usize, incoming: &str) -> Option<Vec<String>> {
+        if self.worlds.contains_key(incoming) {
+            return Some(Vec::new());
+        }
+        let excess = (self.worlds.len() + 1).saturating_sub(budget);
+        let mut candidates: Vec<(&String, u64)> = self
+            .worlds
+            .iter()
+            .filter(|(name, _)| name.as_str() != DEFAULT_WORLD)
+            .map(|(name, e)| (name, e.last_used))
+            .collect();
+        if candidates.len() < excess {
+            return None;
+        }
+        candidates.sort_unstable_by_key(|&(_, last_used)| last_used);
+        Some(
+            candidates[..excess]
+                .iter()
+                .map(|(name, _)| (*name).clone())
+                .collect(),
+        )
+    }
+
+    /// Cheap pre-flight: would `incoming` fit right now? Checked
+    /// before the expensive world build so an exhausted budget rejects
+    /// in microseconds, not after generating (and discarding) a world;
+    /// the install re-checks under its own lock.
+    fn check_room(&self, budget: usize, incoming: &str) -> Result<(), TenancyError> {
+        self.lru_victims(budget, incoming)
+            .map(drop)
+            .ok_or(TenancyError::BudgetExhausted(budget))
+    }
+}
+
+/// How an engine comes to be installed: the one thing the callers of
+/// the install step differ in.
+#[derive(Clone, Copy)]
+enum Install {
+    /// `world.load`, synchronous or background: a fresh generation.
+    Load,
+    /// `world.swap`: a fresh generation, replacing any resident engine.
+    Swap,
+    /// A recovered world: adopts its recorded generation.
+    Restore { generation: u64 },
+}
+
+impl Install {
+    /// The counter and WAL op of an installed world. A restore has
+    /// neither: it was counted when claimed, and its op is already
+    /// durable.
+    fn record(
+        self,
+        world: &str,
+        spec: WorldSpec,
+        generation: u64,
+    ) -> Option<(&'static str, WalOp)> {
+        let (world, spec) = (world.to_string(), persist::stored_spec(spec));
+        match self {
+            Install::Load => Some((
+                "tenancy.load",
+                WalOp::Load {
+                    world,
+                    spec,
+                    generation,
+                },
+            )),
+            Install::Swap => Some((
+                "tenancy.swap",
+                WalOp::Swap {
+                    world,
+                    spec,
+                    generation,
+                },
+            )),
+            Install::Restore { .. } => None,
+        }
+    }
 }
 
 /// A thread-safe registry of named resident worlds.
@@ -346,12 +451,13 @@ impl WorldManager {
     /// load/swap/evict is WAL-logged before it is acknowledged. Worlds
     /// already resident (e.g. the default world of
     /// [`with_default`](WorldManager::with_default)) are logged
-    /// immediately so they too survive a restart. Restore paths
-    /// ([`restore_background`](WorldManager::restore_background)) do
-    /// **not** re-log — their ops are already in the manifest or WAL.
+    /// immediately so they too survive a restart. A restore
+    /// ([`restore_background`](WorldManager::restore_background)) logs
+    /// only the evictions it causes — its own op is already in the
+    /// manifest or WAL.
     pub fn with_store(mut self, store: Arc<WorldStore>) -> Result<Self, TenancyError> {
         {
-            let reg = self.registry.lock().expect("world registry");
+            let reg = self.lock();
             for (name, entry) in &reg.worlds {
                 store
                     .append(&WalOp::Load {
@@ -376,8 +482,12 @@ impl WorldManager {
     /// (`next` is the store's "next unassigned" convention). Called
     /// once at boot, before any restore installs.
     pub fn set_generation_floor(&self, next: u64) {
-        let mut reg = self.registry.lock().expect("world registry");
+        let mut reg = self.lock();
         reg.next_generation = reg.next_generation.max(next.saturating_sub(1));
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().expect("world registry")
     }
 
     /// WAL-logs evictions plus an optional final op, fsync'd, after
@@ -425,21 +535,8 @@ impl WorldManager {
     /// how a single-world `Server::bind` wraps its engine.
     pub fn with_default(engine: Arc<QueryEngine>, spec: WorldSpec, budget: usize) -> Self {
         let mgr = WorldManager::new(budget);
-        {
-            let mut reg = mgr.registry.lock().expect("world registry");
-            let generation = reg.bump();
-            reg.worlds.insert(
-                DEFAULT_WORLD.to_string(),
-                WorldEntry {
-                    engine,
-                    spec,
-                    generation,
-                    last_used: 0,
-                },
-            );
-        }
-        mgr.metrics.counter("tenancy.load").inc();
-        mgr.update_residency_gauges(1, 0);
+        mgr.install(mgr.lock(), DEFAULT_WORLD, spec, engine, Install::Load)
+            .expect("an empty, storeless registry always installs");
         mgr
     }
 
@@ -455,7 +552,7 @@ impl WorldManager {
     pub fn resolve(&self, world: Option<&str>) -> Result<Arc<QueryEngine>, TenancyError> {
         let name = world.unwrap_or(DEFAULT_WORLD);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut reg = self.registry.lock().expect("world registry");
+        let mut reg = self.lock();
         let Some(entry) = reg.worlds.get_mut(name) else {
             return Err(if reg.loading.contains_key(name) {
                 TenancyError::WorldLoading(name.to_string())
@@ -473,58 +570,26 @@ impl WorldManager {
     /// different spec it is an error ([`TenancyError::SpecMismatch`])
     /// — replacement is `swap`'s job, never an accident of `load`.
     pub fn load(&self, name: &str, spec: WorldSpec) -> Result<u64, TenancyError> {
-        if let Some(entry) = self.lookup(name)? {
-            let (existing, generation) = entry;
-            if existing == spec {
-                return Ok(generation);
+        {
+            let reg = self.lock();
+            if let Some(resident) = reg.resident(name, spec) {
+                return resident;
             }
-            return Err(TenancyError::SpecMismatch(name.to_string()));
+            // A sync load must not race a background build of the name.
+            if reg.loading.contains_key(name) {
+                return Err(TenancyError::WorldLoading(name.to_string()));
+            }
+            reg.check_room(self.budget, name)?;
         }
-        // An exhausted budget is knowable before paying for a world
-        // build; re-checked under the insert lock below (the cheap
-        // check can race evictions, never the other way).
-        self.check_room(name)?;
         // Build outside the lock: generation takes milliseconds and
         // must not block queries on resident worlds.
         let engine = Arc::new(spec.build());
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut reg = self.registry.lock().expect("world registry");
+        let reg = self.lock();
         // Lost a build race? Keep the winner.
-        if let Some(entry) = reg.worlds.get(name) {
-            if entry.spec == spec {
-                return Ok(entry.generation);
-            }
-            return Err(TenancyError::SpecMismatch(name.to_string()));
+        if let Some(resident) = reg.resident(name, spec) {
+            return resident;
         }
-        let victims = Self::make_room(&mut reg, self.budget, name)?;
-        let generation = reg.bump();
-        reg.worlds.insert(
-            name.to_string(),
-            WorldEntry {
-                engine,
-                spec,
-                generation,
-                last_used: stamp,
-            },
-        );
-        let (resident, loading) = (reg.worlds.len(), reg.loading.len());
-        drop(reg);
-        self.metrics.counter("tenancy.load").inc();
-        if !victims.is_empty() {
-            self.metrics
-                .counter("tenancy.evict.lru")
-                .add(victims.len() as u64);
-        }
-        self.update_residency_gauges(resident, loading);
-        self.log_ops(
-            &victims,
-            Some(WalOp::Load {
-                world: name.to_string(),
-                spec: persist::stored_spec(spec),
-                generation,
-            }),
-        )?;
-        Ok(generation)
+        self.install(reg, name, spec, engine, Install::Load)
     }
 
     /// Starts loading `name` on a detached worker thread and returns
@@ -547,114 +612,127 @@ impl WorldManager {
         name: &str,
         spec: WorldSpec,
     ) -> Result<Option<u64>, TenancyError> {
-        {
-            let reg = self.registry.lock().expect("world registry");
-            if let Some(entry) = reg.worlds.get(name) {
-                if entry.spec == spec {
-                    return Ok(Some(entry.generation));
-                }
-                return Err(TenancyError::SpecMismatch(name.to_string()));
-            }
-            if let Some(pending) = reg.loading.get(name) {
-                if *pending == spec {
-                    return Ok(None);
-                }
-                return Err(TenancyError::WorldLoading(name.to_string()));
-            }
+        let reg = self.lock();
+        if let Some(resident) = reg.resident(name, spec) {
+            return resident.map(Some);
         }
-        self.check_room(name)?;
-        {
-            let mut reg = self.registry.lock().expect("world registry");
-            // A concurrent load may have won the race above; redo the
-            // cheap checks under the lock before claiming the name.
-            if reg.worlds.contains_key(name) || reg.loading.contains_key(name) {
-                drop(reg);
-                return self.load_background(name, spec);
+        if let Some(pending) = reg.loading.get(name) {
+            if *pending == spec {
+                return Ok(None);
             }
-            reg.loading.insert(name.to_string(), spec);
-            let (resident, loading) = (reg.worlds.len(), reg.loading.len());
-            drop(reg);
-            self.metrics.counter("tenancy.load_background").inc();
-            self.update_residency_gauges(resident, loading);
+            return Err(TenancyError::WorldLoading(name.to_string()));
         }
+        reg.check_room(self.budget, name)?;
+        self.spawn_install(reg, name, spec, Install::Load, move || spec.build());
+        self.metrics.counter("tenancy.load_background").inc();
+        Ok(None)
+    }
+
+    /// The one background path, behind both
+    /// [`load_background`](WorldManager::load_background) and
+    /// [`restore_background`](WorldManager::restore_background):
+    /// claims `name` as loading (under `reg`), then runs `build` on a
+    /// detached thread and installs its engine. The claim never
+    /// outlives the thread: a build that panics installs nothing, an
+    /// evict that removed the claim first cancels the install (see
+    /// [`evict`](WorldManager::evict)), and a sync load or swap that
+    /// installed the name meanwhile is kept.
+    fn spawn_install(
+        self: &Arc<Self>,
+        mut reg: MutexGuard<'_, Registry>,
+        name: &str,
+        spec: WorldSpec,
+        how: Install,
+        build: impl FnOnce() -> QueryEngine + Send + 'static,
+    ) {
+        reg.loading.insert(name.to_string(), spec);
+        let (resident, loading) = (reg.worlds.len(), reg.loading.len());
+        drop(reg);
+        self.update_residency_gauges(resident, loading);
         let mgr = Arc::clone(self);
         let name = name.to_string();
         std::thread::spawn(move || {
-            // The marker must not outlive this thread no matter how it
-            // exits: a panicking world build would otherwise wedge the
-            // name in "loading" forever. The guard clears it on every
-            // path; the happy path queries `cleared()` to learn whether
-            // it still owned the claim (an evict cancels the load by
-            // removing the marker first — see `evict`).
-            struct ClearMarker {
-                mgr: Arc<WorldManager>,
-                name: String,
-                armed: bool,
-            }
-            impl Drop for ClearMarker {
-                fn drop(&mut self) {
-                    if self.armed {
-                        let mut reg = self.mgr.registry.lock().expect("world registry");
-                        reg.loading.remove(&self.name);
+            // Build outside every lock, then clear the claim and
+            // install (or give up) in one critical section.
+            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build));
+            let mut reg = mgr.lock();
+            let claimed = reg.loading.remove(&name).is_some();
+            match built {
+                Ok(engine) if claimed && !reg.worlds.contains_key(&name) => {
+                    // No admin connection waits on a background
+                    // install, so a WAL failure surfaces as telemetry.
+                    if let Err(TenancyError::Persist(_)) =
+                        mgr.install(reg, &name, spec, Arc::new(engine), how)
+                    {
+                        mgr.metrics.counter("tenancy.persist_errors").inc();
                     }
                 }
-            }
-            let mut guard = ClearMarker {
-                mgr: Arc::clone(&mgr),
-                name: name.clone(),
-                armed: true,
-            };
-            // Build outside every lock, then clear the marker and
-            // install (or give up) in one critical section.
-            let engine = Arc::new(spec.build());
-            let stamp = mgr.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            let mut reg = mgr.registry.lock().expect("world registry");
-            guard.armed = false;
-            if reg.loading.remove(&name).is_none() {
-                return; // the load was cancelled (evicted) mid-build
-            }
-            if reg.worlds.contains_key(&name) {
-                return; // a sync load/swap raced us; keep the winner
-            }
-            let Ok(victims) = Self::make_room(&mut reg, mgr.budget, &name) else {
-                return; // budget filled up mid-build; discard
-            };
-            let generation = reg.bump();
-            reg.worlds.insert(
-                name.clone(),
-                WorldEntry {
-                    engine,
-                    spec,
-                    generation,
-                    last_used: stamp,
-                },
-            );
-            let (resident, loading) = (reg.worlds.len(), reg.loading.len());
-            drop(reg);
-            mgr.metrics.counter("tenancy.load").inc();
-            if !victims.is_empty() {
-                mgr.metrics
-                    .counter("tenancy.evict.lru")
-                    .add(victims.len() as u64);
-            }
-            mgr.update_residency_gauges(resident, loading);
-            // No admin connection is waiting on a background install,
-            // so a WAL failure can only be surfaced as telemetry.
-            if mgr
-                .log_ops(
-                    &victims,
-                    Some(WalOp::Load {
-                        world: name,
-                        spec: persist::stored_spec(spec),
-                        generation,
-                    }),
-                )
-                .is_err()
-            {
-                mgr.metrics.counter("tenancy.persist_errors").inc();
+                _ => {
+                    let (resident, loading) = (reg.worlds.len(), reg.loading.len());
+                    drop(reg);
+                    mgr.update_residency_gauges(resident, loading);
+                }
             }
         });
-        Ok(None)
+    }
+
+    /// The one way an engine becomes resident. Under the registry
+    /// lock (`reg`, taken by the caller after its own checks): make
+    /// room, then assign a fresh generation or adopt a restore's
+    /// recorded one, then insert. Outside it: counters and gauges,
+    /// then WAL-log every victim plus the op, if there is one. A
+    /// restore that cannot fit is its own victim — evicted on arrival
+    /// and logged as such, so the next boot does not bring it back.
+    /// Returns the installed generation.
+    fn install(
+        &self,
+        mut reg: MutexGuard<'_, Registry>,
+        name: &str,
+        spec: WorldSpec,
+        engine: Arc<QueryEngine>,
+        how: Install,
+    ) -> Result<u64, TenancyError> {
+        let (victims, generation) = match reg.lru_victims(self.budget, name) {
+            Some(victims) => {
+                for victim in &victims {
+                    reg.worlds.remove(victim);
+                }
+                let generation = match how {
+                    Install::Restore { generation } => {
+                        reg.next_generation = reg.next_generation.max(generation);
+                        generation
+                    }
+                    Install::Load | Install::Swap => reg.bump(),
+                };
+                let last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+                reg.worlds.insert(
+                    name.to_string(),
+                    WorldEntry {
+                        engine,
+                        spec,
+                        generation,
+                        last_used,
+                    },
+                );
+                (victims, Some(generation))
+            }
+            None if matches!(how, Install::Restore { .. }) => (vec![name.to_string()], None),
+            None => return Err(TenancyError::BudgetExhausted(self.budget)),
+        };
+        let (resident, loading) = (reg.worlds.len(), reg.loading.len());
+        drop(reg);
+        let record = generation.and_then(|g| how.record(name, spec, g));
+        if let Some((counter, _)) = &record {
+            self.metrics.counter(counter).inc();
+        }
+        if !victims.is_empty() {
+            self.metrics
+                .counter("tenancy.evict.lru")
+                .add(victims.len() as u64);
+        }
+        self.update_residency_gauges(resident, loading);
+        self.log_ops(&victims, record.map(|(_, op)| op))?;
+        generation.ok_or(TenancyError::BudgetExhausted(self.budget))
     }
 
     /// Replaces (or creates) `name` with a freshly built engine and
@@ -674,7 +752,7 @@ impl WorldManager {
     /// clients actually spend (see [`QueryEngine::hot_result_keys`]).
     /// Pass 0 to install cold.
     pub fn swap(&self, name: &str, spec: WorldSpec, warm: usize) -> Result<u64, TenancyError> {
-        self.check_room(name)?;
+        self.lock().check_room(self.budget, name)?;
         let engine = Arc::new(spec.build());
         if warm > 0 {
             if let Some(old) = self.peek(name) {
@@ -684,43 +762,14 @@ impl WorldManager {
                     .add(replayed as u64);
             }
         }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut reg = self.registry.lock().expect("world registry");
-        let victims = if !reg.worlds.contains_key(name) {
-            Self::make_room(&mut reg, self.budget, name)?
-        } else {
-            Vec::new()
-        };
-        let generation = reg.bump();
-        reg.worlds.insert(
-            name.to_string(),
-            WorldEntry {
-                engine,
-                spec,
-                generation,
-                last_used: stamp,
-            },
-        );
-        let (resident, loading) = (reg.worlds.len(), reg.loading.len());
-        drop(reg);
-        self.metrics.counter("tenancy.swap").inc();
-        self.update_residency_gauges(resident, loading);
-        self.log_ops(
-            &victims,
-            Some(WalOp::Swap {
-                world: name.to_string(),
-                spec: persist::stored_spec(spec),
-                generation,
-            }),
-        )?;
-        Ok(generation)
+        self.install(self.lock(), name, spec, engine, Install::Swap)
     }
 
     /// The currently installed engine of `name`, without touching the
     /// LRU clock (swap warm-up must not promote the world it is about
     /// to replace).
     fn peek(&self, name: &str) -> Option<Arc<QueryEngine>> {
-        let reg = self.registry.lock().expect("world registry");
+        let reg = self.lock();
         reg.worlds.get(name).map(|e| Arc::clone(&e.engine))
     }
 
@@ -732,7 +781,7 @@ impl WorldManager {
         if name == DEFAULT_WORLD {
             return Err(TenancyError::DefaultPinned);
         }
-        let mut reg = self.registry.lock().expect("world registry");
+        let mut reg = self.lock();
         if reg.worlds.remove(name).is_some() || reg.loading.remove(name).is_some() {
             let (resident, loading) = (reg.worlds.len(), reg.loading.len());
             drop(reg);
@@ -745,14 +794,14 @@ impl WorldManager {
     }
 
     /// `world.save`: writes a durable snapshot of one resident world —
-    /// its spec plus both engine cache layers — as an atomic,
+    /// its spec plus the result cache — as an atomic,
     /// checksummed container file in the data directory. Returns the
     /// world's generation and the snapshot size in bytes. Requires an
     /// attached store.
     pub fn save(&self, name: &str) -> Result<(u64, u64), TenancyError> {
         let store = self.require_store()?;
         let (engine, spec, generation) = {
-            let reg = self.registry.lock().expect("world registry");
+            let reg = self.lock();
             let Some(e) = reg.worlds.get(name) else {
                 return Err(if reg.loading.contains_key(name) {
                     TenancyError::WorldLoading(name.to_string())
@@ -780,7 +829,7 @@ impl WorldManager {
     pub fn checkpoint(&self) -> Result<(usize, u64), TenancyError> {
         let store = self.require_store()?;
         let (worlds, next_generation) = {
-            let reg = self.registry.lock().expect("world registry");
+            let reg = self.lock();
             let worlds: Vec<(String, WorldSpec, u64, Arc<QueryEngine>)> = reg
                 .worlds
                 .iter()
@@ -819,13 +868,15 @@ impl WorldManager {
 
     /// Warm-restart install: rebuilds a recovered world on a detached
     /// worker thread under its **recorded** generation (no counter
-    /// bump, no WAL append — the op being replayed is already
-    /// durable), then replays the snapshot payload's cache entries
-    /// into the fresh engine so it answers bit-identically from its
-    /// first request. A payload whose embedded spec mismatches `spec`
-    /// is skipped (cold caches) — the stale-snapshot guard. The world
-    /// lists as `loading` until installed, exactly like a background
-    /// load.
+    /// bump, no WAL append of its own — the op being replayed is
+    /// already durable), then replays the snapshot payload's result
+    /// entries into the fresh engine so it answers bit-identically
+    /// from its first request. A payload whose embedded spec
+    /// mismatches `spec` is skipped (cold caches) — the stale-snapshot
+    /// guard. The world lists as `loading` until installed, exactly
+    /// like a background load, and installs like one: the worlds it
+    /// evicts — or the world itself, when nothing is evictable — are
+    /// counted and WAL-logged.
     pub fn restore_background(
         self: &Arc<Self>,
         name: &str,
@@ -833,77 +884,31 @@ impl WorldManager {
         generation: u64,
         snapshot: Option<Vec<u8>>,
     ) -> Result<(), TenancyError> {
-        {
-            let mut reg = self.registry.lock().expect("world registry");
-            if reg.worlds.contains_key(name) || reg.loading.contains_key(name) {
-                return Err(TenancyError::SpecMismatch(name.to_string()));
-            }
-            reg.loading.insert(name.to_string(), spec);
-            let (resident, loading) = (reg.worlds.len(), reg.loading.len());
-            drop(reg);
-            self.metrics.counter("tenancy.restore").inc();
-            self.update_residency_gauges(resident, loading);
+        let reg = self.lock();
+        if reg.worlds.contains_key(name) || reg.loading.contains_key(name) {
+            return Err(TenancyError::SpecMismatch(name.to_string()));
         }
-        let mgr = Arc::clone(self);
-        let name = name.to_string();
-        std::thread::spawn(move || {
-            struct ClearMarker {
-                mgr: Arc<WorldManager>,
-                name: String,
-                armed: bool,
-            }
-            impl Drop for ClearMarker {
-                fn drop(&mut self) {
-                    if self.armed {
-                        let mut reg = self.mgr.registry.lock().expect("world registry");
-                        reg.loading.remove(&self.name);
-                    }
+        let metrics = Arc::clone(&self.metrics);
+        self.spawn_install(
+            reg,
+            name,
+            spec,
+            Install::Restore { generation },
+            move || {
+                let engine = spec.build();
+                if let Some(payload) = snapshot {
+                    // A corrupt or stale payload serves cold rather than
+                    // wrong.
+                    let outcome = match persist::import_snapshot(&engine, &payload, spec) {
+                        Ok(_) => "tenancy.restore.snapshot",
+                        Err(_) => "tenancy.restore.cold",
+                    };
+                    metrics.counter(outcome).inc();
                 }
-            }
-            let mut guard = ClearMarker {
-                mgr: Arc::clone(&mgr),
-                name: name.clone(),
-                armed: true,
-            };
-            let engine = Arc::new(spec.build());
-            if let Some(payload) = snapshot {
-                match persist::import_snapshot(&engine, &payload, spec) {
-                    Ok(_) => {
-                        mgr.metrics.counter("tenancy.restore.snapshot").inc();
-                    }
-                    Err(_) => {
-                        // Corrupt or stale payload: serve cold rather
-                        // than wrong.
-                        mgr.metrics.counter("tenancy.restore.cold").inc();
-                    }
-                }
-            }
-            let stamp = mgr.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            let mut reg = mgr.registry.lock().expect("world registry");
-            guard.armed = false;
-            if reg.loading.remove(&name).is_none() {
-                return; // cancelled by an evict mid-restore
-            }
-            if reg.worlds.contains_key(&name) {
-                return; // an admin op raced the restore; keep it
-            }
-            if Self::make_room(&mut reg, mgr.budget, &name).is_err() {
-                return; // budget filled mid-restore; discard
-            }
-            reg.next_generation = reg.next_generation.max(generation);
-            reg.worlds.insert(
-                name,
-                WorldEntry {
-                    engine,
-                    spec,
-                    generation,
-                    last_used: stamp,
-                },
-            );
-            let (resident, loading) = (reg.worlds.len(), reg.loading.len());
-            drop(reg);
-            mgr.update_residency_gauges(resident, loading);
-        });
+                engine
+            },
+        );
+        self.metrics.counter("tenancy.restore").inc();
         Ok(())
     }
 
@@ -919,7 +924,7 @@ impl WorldManager {
         // counters unlocked — metric reads must not nest inside the
         // registry lock.
         let (ready, loading) = {
-            let reg = self.registry.lock().expect("world registry");
+            let reg = self.lock();
             (
                 reg.worlds
                     .iter()
@@ -967,7 +972,7 @@ impl WorldManager {
         // unlocked — `QueryEngine::stats` itself takes cache-shard
         // locks and must not nest inside the registry lock.
         let engines: Vec<(String, u64, Arc<QueryEngine>)> = {
-            let reg = self.registry.lock().expect("world registry");
+            let reg = self.lock();
             reg.worlds
                 .iter()
                 .map(|(name, e)| (name.clone(), e.generation, Arc::clone(&e.engine)))
@@ -998,7 +1003,7 @@ impl WorldManager {
     /// interval scraping.
     pub fn world_metrics(&self, reset: bool) -> Vec<WorldMetrics> {
         let engines: Vec<(String, Arc<QueryEngine>)> = {
-            let reg = self.registry.lock().expect("world registry");
+            let reg = self.lock();
             reg.worlds
                 .iter()
                 .map(|(name, e)| (name.clone(), Arc::clone(&e.engine)))
@@ -1016,63 +1021,6 @@ impl WorldManager {
             .collect();
         worlds.sort_by(|a, b| a.name.cmp(&b.name));
         worlds
-    }
-
-    /// Evicts the least-recently-resolved evictable world until there
-    /// is room for one more entry. `incoming` is the name about to be
-    /// inserted (never a candidate). The default world is pinned.
-    /// Returns the evicted names so the caller can WAL-log them.
-    fn make_room(
-        reg: &mut Registry,
-        budget: usize,
-        incoming: &str,
-    ) -> Result<Vec<String>, TenancyError> {
-        let mut victims = Vec::new();
-        while reg.worlds.len() >= budget {
-            let victim = reg
-                .worlds
-                .iter()
-                .filter(|(name, _)| name.as_str() != DEFAULT_WORLD && name.as_str() != incoming)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(name, _)| name.clone())
-                .ok_or(TenancyError::BudgetExhausted(budget))?;
-            reg.worlds.remove(&victim);
-            victims.push(victim);
-        }
-        Ok(victims)
-    }
-
-    /// Cheap pre-flight for `load`/`swap`: would inserting `name`
-    /// succeed right now? Checked before the expensive world build so
-    /// an exhausted budget rejects in microseconds, not after
-    /// generating (and discarding) a full world.
-    fn check_room(&self, incoming: &str) -> Result<(), TenancyError> {
-        let reg = self.registry.lock().expect("world registry");
-        if reg.worlds.contains_key(incoming) || reg.worlds.len() < self.budget {
-            return Ok(());
-        }
-        let evictable = reg
-            .worlds
-            .keys()
-            .any(|name| name != DEFAULT_WORLD && name != incoming);
-        if evictable {
-            Ok(())
-        } else {
-            Err(TenancyError::BudgetExhausted(self.budget))
-        }
-    }
-
-    /// Spec and generation of a resident world; errors when the name
-    /// is mid-background-load (a sync load must not race the worker).
-    fn lookup(&self, name: &str) -> Result<Option<(WorldSpec, u64)>, TenancyError> {
-        let reg = self.registry.lock().expect("world registry");
-        if let Some(e) = reg.worlds.get(name) {
-            return Ok(Some((e.spec, e.generation)));
-        }
-        if reg.loading.contains_key(name) {
-            return Err(TenancyError::WorldLoading(name.to_string()));
-        }
-        Ok(None)
     }
 }
 
@@ -1156,6 +1104,53 @@ mod tests {
         let names: Vec<String> = mgr.list().into_iter().map(|w| w.name).collect();
         assert_eq!(names, vec!["b".to_string(), DEFAULT_WORLD.to_string()]);
         assert!(mgr.resolve(Some("a")).is_err());
+    }
+
+    #[test]
+    fn swap_onto_a_new_name_counts_its_victims() {
+        let mgr = WorldManager::new(1);
+        mgr.load("a", tiny(1)).expect("a");
+        mgr.swap("b", tiny(2), 0).expect("swap evicts a");
+        assert!(mgr.resolve(Some("a")).is_err());
+        assert_eq!(mgr.metrics().counter("tenancy.evict.lru").get(), 1);
+    }
+
+    /// A recovered world with no room — every resident world pinned —
+    /// is evicted on arrival, counted, and WAL-logged, so the next
+    /// boot does not bring it back.
+    #[test]
+    fn restore_that_cannot_fit_is_logged_as_an_eviction() {
+        let dir =
+            std::env::temp_dir().join(format!("biorank-tenancy-restore-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A previous life left "aux" durable.
+        WorldStore::open(&dir, &MetricsRegistry::new())
+            .expect("open store")
+            .append(&WalOp::Load {
+                world: "aux".into(),
+                spec: persist::stored_spec(tiny(1)),
+                generation: 7,
+            })
+            .expect("log aux");
+        let mgr = WorldManager::with_default(Arc::new(tiny(0).build()), tiny(0), 1);
+        let store = Arc::new(WorldStore::open(&dir, mgr.metrics()).expect("reopen store"));
+        let mgr = Arc::new(mgr.with_store(Arc::clone(&store)).expect("attach"));
+        mgr.restore_background("aux", tiny(1), 7, None)
+            .expect("claim");
+        // with_store logged the default world; the discard is the
+        // second append.
+        for _ in 0..600 {
+            if mgr.metrics().counter("store.wal_append").get() == 2 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert_eq!(mgr.metrics().counter("tenancy.evict.lru").get(), 1);
+        let names: Vec<String> = mgr.list().into_iter().map(|w| w.name).collect();
+        assert_eq!(names, vec![DEFAULT_WORLD.to_string()]);
+        let recovered = store.recover().expect("recover");
+        assert!(!recovered.worlds.contains_key("aux"), "{recovered:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic (per file kind, see [`FileKind`])
-//! 4       4     format version (currently 1)
+//! 4       4     format version (per kind: manifest 1, snapshot 2)
 //! 8       8     payload length in bytes
 //! 16      8     xxh64(payload, seed = CHECKSUM_SEED)
 //! 24      len   payload
@@ -21,9 +21,6 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::{xxh64, StoreError};
-
-/// Current container format version.
-pub const CONTAINER_VERSION: u32 = 1;
 
 /// Seed for the container payload checksum.
 pub(crate) const CHECKSUM_SEED: u64 = 0xB10_5708E; // "BIO STORE"
@@ -46,6 +43,15 @@ impl FileKind {
             FileKind::Manifest => *b"BRMF",
         }
     }
+
+    /// The one format version this kind is written and read at. A
+    /// snapshot is at 2 since it stopped carrying the graph cache.
+    fn version(self) -> u32 {
+        match self {
+            FileKind::Snapshot => 2,
+            FileKind::Manifest => 1,
+        }
+    }
 }
 
 /// Atomically writes `payload` as a container file at `path`:
@@ -54,7 +60,7 @@ impl FileKind {
 pub fn write_container(path: &Path, kind: FileKind, payload: &[u8]) -> crate::Result<u64> {
     let mut framed = Vec::with_capacity(HEADER_LEN + payload.len());
     framed.extend_from_slice(&kind.magic());
-    framed.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
+    framed.extend_from_slice(&kind.version().to_le_bytes());
     framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     framed.extend_from_slice(&xxh64(payload, CHECKSUM_SEED).to_le_bytes());
     framed.extend_from_slice(payload);
@@ -97,7 +103,7 @@ pub fn read_container(path: &Path, kind: FileKind) -> crate::Result<Vec<u8>> {
         )));
     }
     let version = u32::from_le_bytes(raw[4..8].try_into().unwrap());
-    if version != CONTAINER_VERSION {
+    if version != kind.version() {
         return Err(StoreError::Corrupt(format!(
             "{}: unsupported format version {version}",
             path.display()
@@ -144,6 +150,31 @@ mod tests {
         let size = write_container(&path, FileKind::Snapshot, &payload).unwrap();
         assert_eq!(size, HEADER_LEN as u64 + payload.len() as u64);
         assert_eq!(read_container(&path, FileKind::Snapshot).unwrap(), payload);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Each kind round-trips at its own version (manifest 1, snapshot
+    /// 2), and a version-1 snapshot — the layout that still carried
+    /// the graph cache — is refused by name.
+    #[test]
+    fn versions_are_per_kind_and_old_snapshots_are_refused() {
+        let dir = tmpdir("ver");
+        for (kind, version) in [(FileKind::Manifest, 1u32), (FileKind::Snapshot, 2)] {
+            let path = dir.join(format!("{version}"));
+            write_container(&path, kind, b"payload").unwrap();
+            assert_eq!(fs::read(&path).unwrap()[4..8], version.to_le_bytes());
+            assert_eq!(read_container(&path, kind).unwrap(), b"payload");
+        }
+        let path = dir.join("old.snap");
+        write_container(&path, FileKind::Snapshot, b"payload").unwrap();
+        let mut raw = fs::read(&path).unwrap();
+        raw[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&path, &raw).unwrap();
+        let err = read_container(&path, FileKind::Snapshot).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported format version 1"),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -33,6 +33,11 @@
 //! [magic: 4 bytes][version: u32 LE][len: u64 LE][xxh64(payload): u64 LE][payload: len bytes]
 //! ```
 //!
+//! The version is per file kind: the manifest is at 1, snapshots at 2
+//! (version 1 snapshots also carried the graph cache, which a snapshot
+//! no longer holds). A reader accepts only its kind's current version,
+//! so an old snapshot is refused by name — its world restores cold.
+//!
 //! Containers are written atomically: payload goes to `<name>.tmp`,
 //! the file is fsync'd, renamed over the target, and the directory is
 //! fsync'd — a crash mid-write never leaves a torn container behind.
@@ -68,7 +73,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bytes;
-pub mod codec;
 pub mod container;
 pub mod manifest;
 pub mod store;
@@ -76,8 +80,7 @@ pub mod wal;
 pub mod xxh;
 
 pub use bytes::{Reader, Writer};
-pub use codec::{decode_query_graph, encode_query_graph};
-pub use container::{read_container, write_container, FileKind, CONTAINER_VERSION};
+pub use container::{read_container, write_container, FileKind};
 pub use manifest::{Manifest, ManifestEntry, StoredSpec};
 pub use store::{escape_name, RecoveredWorld, Recovery, WorldStore, MANIFEST_FILE, WAL_FILE};
 pub use wal::WalOp;

@@ -201,7 +201,7 @@ trap 'kill "$serve_pid" 2>/dev/null || true;
 start_durable_serve() {
     : >"$serve_log"
     ./target/release/biorank serve --addr 127.0.0.1:0 --workers 2 \
-        --data-dir "$data_dir" >"$serve_log" 2>&1 &
+        --data-dir "$data_dir" "$@" >"$serve_log" 2>&1 &
     serve_pid=$!
     addr=""
     for _ in $(seq 1 240); do
@@ -235,6 +235,33 @@ diff "$answers_a" "$answers_b"
 # (the planner histograms pushed `warm.replayed` off the tail).
 restart_metrics="$(./target/release/biorank admin metrics --addr "$addr")"
 echo "$restart_metrics" | grep -q "warm.replayed"
+kill "$serve_pid" 2>/dev/null || true
+wait "$serve_pid" 2>/dev/null || true
+
+# Budget-shrink reboot: under --worlds 1 only the pinned default fits,
+# so restoring aux evicts it — and that eviction must be as durable as
+# any other. Wait until it is WAL-logged (the boot itself logs nothing
+# else), kill, and the next default-budget boot must recover one world:
+# a zombie aux would make it two.
+echo "==> biorank --data-dir budget-shrink reboot smoke"
+start_durable_serve --worlds 1
+logged=""
+for _ in $(seq 1 100); do
+    shrink_metrics="$(./target/release/biorank admin metrics --addr "$addr")"
+    logged=$(echo "$shrink_metrics" | awk '$1 == "store.wal_append" {print $2}')
+    [ -n "$logged" ] && [ "$logged" -ge 1 ] && break
+    sleep 0.1
+done
+if [ -z "$logged" ] || [ "$logged" -lt 1 ]; then
+    echo "the --worlds 1 reboot never WAL-logged aux's eviction" >&2
+    echo "$shrink_metrics" >&2
+    exit 1
+fi
+echo "$shrink_metrics" | grep -Eq "tenancy\.evict\.lru +1$"
+kill "$serve_pid" 2>/dev/null || true
+wait "$serve_pid" 2>/dev/null || true
+start_durable_serve
+grep -q "1 world(s) recovered" "$serve_log"
 kill "$serve_pid" 2>/dev/null || true
 
 # Overload + graceful-drain smoke through the real binary: flood past

@@ -3,17 +3,19 @@
 //! the recovered registry lists the same worlds under the same
 //! generations, and the restarted server answers bit-identically
 //! *from its snapshots* (result-cache hits with `warm.replayed > 0`),
-//! never by re-running integration or Monte Carlo.
+//! never by re-running Monte Carlo. A snapshot holds the result cache
+//! only: the graph cache refills on the first miss per query.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use biorank::service::persist;
 use biorank::service::{
-    AdaptiveConfig, Client, Estimator, Method, QueryRequest, QueryResponse, RankerSpec,
-    ServeOptions, Server, ServerHandle, TenancyError, Trials, WorldManager, WorldSpec, WorldStore,
+    AdaptiveConfig, Client, Estimator, Method, MetricsRegistry, QueryRequest, QueryResponse,
+    RankerSpec, Recovery, ServeOptions, Server, ServerHandle, TenancyError, Trials, WorldManager,
+    WorldSpec, WorldState, WorldStore,
 };
 
 fn fresh_dir() -> PathBuf {
@@ -109,6 +111,33 @@ fn wait_ready(manager: &WorldManager, world: Option<&str>) {
     }
 }
 
+/// Boots a store-backed manager over `dir` the way `biorank serve
+/// --data-dir` does: replay manifest + WAL, then restore every
+/// recovered world in the background, warm from its snapshot when
+/// that loads and cold when it does not.
+fn reboot(dir: &Path, budget: usize) -> (Arc<WorldManager>, Arc<WorldStore>, Recovery) {
+    let manager = WorldManager::new(budget);
+    let store = Arc::new(WorldStore::open(dir, manager.metrics()).expect("reopen data dir"));
+    let recovery = store.recover().expect("recover");
+    let manager = Arc::new(manager.with_store(Arc::clone(&store)).expect("reattach"));
+    manager.set_generation_floor(recovery.next_generation);
+    for (name, world) in &recovery.worlds {
+        let wspec = persist::world_spec(world.spec).expect("recovered spec");
+        let snapshot = world
+            .snapshot
+            .as_deref()
+            .and_then(|f| store.load_snapshot(f).ok());
+        manager
+            .restore_background(name, wspec, world.generation, snapshot)
+            .expect("restore");
+    }
+    (manager, store, recovery)
+}
+
+fn counter(manager: &WorldManager, name: &str) -> u64 {
+    manager.metrics().counter(name).get()
+}
+
 fn assert_bit_identical(before: &QueryResponse, after: &QueryResponse) {
     assert_eq!(before.total_answers, after.total_answers);
     assert_eq!(before.answers.len(), after.answers.len());
@@ -160,24 +189,10 @@ fn restarted_server_answers_bit_identically_from_snapshots() {
     join.join().expect("first server exits");
 
     // ---- Second life: recover the directory, restore in background.
-    let manager2 = WorldManager::new(4);
-    let store2 = Arc::new(WorldStore::open(&dir, manager2.metrics()).expect("reopen data dir"));
-    let recovery = store2.recover().expect("recover");
+    let (manager2, _store2, recovery) = reboot(&dir, 4);
     assert_eq!(recovery.worlds.len(), 2);
     // The checkpoint compacted the log: nothing left to replay.
     assert_eq!(recovery.wal_ops_replayed, 0);
-    let manager2 = Arc::new(manager2.with_store(Arc::clone(&store2)).expect("reattach"));
-    manager2.set_generation_floor(recovery.next_generation);
-    for (name, world) in &recovery.worlds {
-        let wspec = persist::world_spec(world.spec).expect("recovered spec");
-        let snapshot = world
-            .snapshot
-            .as_deref()
-            .map(|f| store2.load_snapshot(f).expect("snapshot payload"));
-        manager2
-            .restore_background(name, wspec, world.generation, snapshot)
-            .expect("restore");
-    }
     wait_ready(&manager2, None);
     wait_ready(&manager2, Some("aux"));
 
@@ -205,6 +220,27 @@ fn restarted_server_answers_bit_identically_from_snapshots() {
             "restarted server recomputed {req:?} instead of serving the snapshot"
         );
         assert_bit_identical(before, &after);
+    }
+
+    // A request the snapshot never held misses both layers — the graph
+    // cache is not part of a snapshot — and computes the same bits as
+    // a fresh engine.
+    let mut unseen = requests()[1].clone();
+    unseen.spec.seed = 8;
+    let after = client2.query(&unseen).expect("post-restore miss");
+    assert!(!after.cached_graph && !after.cached_scores, "{after:?}");
+    let fresh = default_spec()
+        .build()
+        .execute_uncached(&unseen)
+        .expect("fresh engine");
+    assert_bit_identical(&fresh, &after);
+    for req in requests() {
+        assert!(
+            client2
+                .query(&req)
+                .expect("snapshotted query")
+                .cached_scores
+        );
     }
 
     // The warm-restart counter proves the cache came back from disk.
@@ -251,5 +287,130 @@ fn restarted_server_answers_bit_identically_from_snapshots() {
         recovery3.worlds.get("fresh").map(|w| w.generation),
         Some(fresh_generation)
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reboot under a smaller budget evicts the recovered worlds that no
+/// longer fit, and those evictions are as durable as any other: the
+/// next reboot recovers exactly what the shrunken one kept, instead of
+/// resurrecting the evicted world.
+#[test]
+fn restore_evictions_survive_the_next_reboot() {
+    let dir = fresh_dir();
+    {
+        let manager = WorldManager::new(4);
+        let store = Arc::new(WorldStore::open(&dir, manager.metrics()).expect("open data dir"));
+        let manager = manager.with_store(store).expect("attach store");
+        for (seed, name) in (50..).zip(["a", "b", "c"]) {
+            manager
+                .load(
+                    name,
+                    WorldSpec {
+                        seed,
+                        ..default_spec()
+                    },
+                )
+                .expect("load");
+        }
+    }
+
+    // Budget 2: one of the three restores must evict (or be) a victim.
+    let (manager, _store, recovery) = reboot(&dir, 2);
+    assert_eq!(recovery.worlds.len(), 3);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let resident: Vec<String> = loop {
+        // Settled: nothing loading, every victim counted, and every
+        // counted victim on disk (the WAL append follows the count).
+        let listed = manager.list();
+        let evicted = counter(&manager, "tenancy.evict.lru");
+        if listed.iter().all(|w| w.state == WorldState::Ready)
+            && listed.len() as u64 + evicted == 3
+            && counter(&manager, "store.wal_append") == evicted
+        {
+            break listed.into_iter().map(|w| w.name).collect();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "restores never settled with their victims counted and logged: \
+             {listed:?}, tenancy.evict.lru = {evicted}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(resident.len(), 2);
+    drop(manager);
+
+    let registry = MetricsRegistry::new();
+    let store = WorldStore::open(&dir, &registry).expect("third open");
+    let recovered: Vec<String> = store
+        .recover()
+        .expect("third recover")
+        .worlds
+        .into_keys()
+        .collect();
+    assert_eq!(recovered, resident, "an evicted world came back");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot in the pre-result-only layout (container version 1) is
+/// refused by name, never misparsed, and its world still restores —
+/// cold, with the answers a never-restarted engine gives.
+#[test]
+fn old_format_snapshot_restores_cold() {
+    let dir = fresh_dir();
+    let spec = default_spec();
+    let manager = WorldManager::with_default(Arc::new(spec.build()), spec, 4);
+    let store = Arc::new(WorldStore::open(&dir, manager.metrics()).expect("open data dir"));
+    let manager = Arc::new(manager.with_store(store).expect("attach store"));
+    let (handle, join) = start(manager);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let local: Vec<QueryRequest> = requests()
+        .into_iter()
+        .filter(|r| r.world.is_none())
+        .collect();
+    let baseline: Vec<QueryResponse> = local
+        .iter()
+        .map(|r| client.query(r).expect("first-life query"))
+        .collect();
+    client.world_save("default").expect("save");
+    client.checkpoint().expect("checkpoint");
+    drop(client);
+    handle.shutdown();
+    join.join().expect("first server exits");
+
+    let snap = dir.join("default.snap");
+    let mut raw = std::fs::read(&snap).expect("snapshot file");
+    raw[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&snap, &raw).expect("rewrite version");
+
+    let (manager2, store2, recovery) = reboot(&dir, 4);
+    let file = recovery.worlds["default"]
+        .snapshot
+        .clone()
+        .expect("snapshot pointer");
+    let err = store2
+        .load_snapshot(&file)
+        .expect_err("v1 snapshot accepted");
+    assert!(
+        err.to_string().contains("unsupported format version 1"),
+        "{err}"
+    );
+    wait_ready(&manager2, None);
+    let (handle2, join2) = start(Arc::clone(&manager2));
+    let mut client2 = Client::connect(handle2.addr()).expect("reconnect");
+    for (req, before) in local.iter().zip(&baseline) {
+        let after = client2.query(req).expect("cold query");
+        assert!(!after.cached_scores, "nothing was restored for {req:?}");
+        assert_bit_identical(before, &after);
+    }
+    let report = client2.metrics(false).expect("metrics");
+    let replayed: u64 = report
+        .worlds
+        .iter()
+        .filter_map(|w| w.metrics.counters.get("warm.replayed"))
+        .sum();
+    assert_eq!(replayed, 0);
+    drop(client2);
+    handle2.shutdown();
+    join2.join().expect("second server exits");
     let _ = std::fs::remove_dir_all(&dir);
 }
