@@ -1,7 +1,7 @@
 //! Plain-text report tables for the experiment binaries.
 //!
 //! The experiments print fixed-width ASCII tables mirroring the paper's
-//! figures; `EXPERIMENTS.md` embeds them directly.
+//! figures, one binary per figure in `biorank-experiments`.
 
 use crate::harness::MethodAp;
 

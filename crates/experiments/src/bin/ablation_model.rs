@@ -3,7 +3,7 @@
 //!
 //! Each row disables one mechanism of the synthetic world and reruns
 //! the Fig. 5 evaluation (reliability / propagation / InEdge means per
-//! scenario). Measured effects (see EXPERIMENTS.md):
+//! scenario). Measured effects (this binary prints them):
 //!
 //! * no path-count gap   → InEdge collapses in scenario 1 (0.90 → 0.42):
 //!   redundancy counting IS the deterministic methods' signal;

@@ -6,7 +6,7 @@
 //!     Propagation 0.75, Diffusion 0.11.
 //! (b) Wheatstone bridge, all edges 0.5. Paper: PathCount 3, InEdge 2,
 //!     Reliability 0.469, Propagation 0.484, Diffusion ≈ 0.11 (the
-//!     printed equations give 1/6 ≈ 0.167; see EXPERIMENTS.md).
+//!     printed equations give 1/6 ≈ 0.167; this binary prints both).
 
 use biorank_eval::report::table;
 use biorank_graph::{reduction, NodeId, Prob, ProbGraph, QueryGraph};

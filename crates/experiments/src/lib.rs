@@ -1,8 +1,8 @@
 //! # biorank-experiments
 //!
 //! One binary per table and figure of the BioRank paper. Each binary
-//! prints a plain-text reproduction of its artifact; `EXPERIMENTS.md`
-//! records the measured output next to the paper's numbers.
+//! prints a plain-text reproduction of its artifact next to the paper's
+//! numbers (README.md, *Reproducing the paper*).
 //!
 //! | Binary | Artifact |
 //! |---|---|

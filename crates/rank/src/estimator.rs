@@ -56,7 +56,7 @@ pub struct BatchStats {
 /// An incremental Monte Carlo reliability estimator.
 ///
 /// See the [module docs](self) for the contract. Implementations keep
-/// their public `score`/`score_parallel` entry points as thin wrappers
+/// their public `score*` entry points as thin wrappers
 /// over [`drive`](Estimator::drive), so the incremental protocol is
 /// *the* run loop, not a parallel code path.
 pub trait Estimator {

@@ -10,7 +10,8 @@
 //!   samples elements it actually reaches. "In this manner we don't
 //!   simulate any nodes or edges only to later discover that they are
 //!   disconnected." The paper measures an average 3.4× speed-up on its
-//!   query graphs; `biorank-bench` reproduces the comparison.
+//!   query graphs; `cargo run --release -p biorank-experiments --bin
+//!   fig8` reproduces the comparison.
 //!
 //! Both estimate `r(t)` for **all** nodes simultaneously — one run ranks
 //! the entire answer set.
@@ -183,14 +184,6 @@ impl TraversalMc {
     /// Creates a traversal sampler with the given trial count and seed.
     pub fn new(trials: u32, seed: u64) -> Self {
         TraversalMc { trials, seed }
-    }
-
-    /// Runs the trials split across `threads` scoped OS threads,
-    /// merging the per-thread reach counters. Deterministic for
-    /// a fixed `(seed, threads)` pair: thread `i` seeds its RNG with
-    /// `seed + i` and runs a fixed share of the trials.
-    pub fn score_parallel(&self, q: &QueryGraph, threads: usize) -> Result<Scores, Error> {
-        self.score_chunked(q, threads, threads)
     }
 
     /// Runs the trials split into `chunks` independent RNG streams
@@ -522,7 +515,7 @@ mod tests {
     fn parallel_matches_accuracy() {
         let (q, t) = diamond();
         let est = TraversalMc::new(40_000, 9)
-            .score_parallel(&q, 4)
+            .score_chunked(&q, 4, 4)
             .unwrap()
             .get(t);
         assert!((est - 0.4375).abs() < 0.01, "estimate {est}");
@@ -532,11 +525,11 @@ mod tests {
     fn parallel_is_deterministic_per_thread_count() {
         let (q, t) = diamond();
         let a = TraversalMc::new(8_000, 2)
-            .score_parallel(&q, 3)
+            .score_chunked(&q, 3, 3)
             .unwrap()
             .get(t);
         let b = TraversalMc::new(8_000, 2)
-            .score_parallel(&q, 3)
+            .score_chunked(&q, 3, 3)
             .unwrap()
             .get(t);
         assert_eq!(a, b);

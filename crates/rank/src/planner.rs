@@ -85,8 +85,8 @@ impl Strategy {
 }
 
 /// The constants of the planner's linear cost model, taken from the
-/// BENCH_mc.json rows at commit `e6e637c` and the measured shapes of
-/// the bench graphs. They only have to order the strategies correctly
+/// criterion rows recorded at commit `e6e637c` and the measured shapes
+/// of the bench graphs. They only have to order the strategies correctly
 /// (the rows differ by 5–200×), not predict a particular host's
 /// nanoseconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -303,9 +303,10 @@ mod tests {
 
     #[test]
     fn word_wins_the_bench_graphs() {
-        // The seeded model must reproduce the BENCH_mc.json ordering
-        // on all three bench graphs (word ~20× traversal, reduction
-        // not paying, exact ineligible under the ontology schema).
+        // The seeded model must reproduce the ordering of the criterion
+        // rows recorded at commit `e6e637c` on all three bench graphs
+        // (word ~20× traversal, reduction not paying, exact ineligible
+        // under the ontology schema).
         let m = CostModel::default();
         for (graph_f, label) in [
             (abcc8_features().graph, "abcc8"),

@@ -19,8 +19,9 @@
 //! path-count range, path-strength range, and a mix over the four
 //! mechanical path kinds of the Fig. 1 schema. The defaults were tuned
 //! so the regenerated Figs. 5–6 match the paper's *shape* (method
-//! ordering and approximate gaps), not its absolute decimals —
-//! `EXPERIMENTS.md` records both.
+//! ordering and approximate gaps), not its absolute decimals — the
+//! `fig5` experiment binary's docs list the paper's values and the
+//! binary prints the regenerated ones.
 
 use biorank_schema::{EvidenceCode, StatusCode};
 use rand::rngs::StdRng;

@@ -15,7 +15,8 @@ fn main() {
         .unwrap_or_else(|| "ABCC8".to_string());
 
     // 1. A deterministic synthetic world standing in for the 11 live
-    //    web sources of the paper (see DESIGN.md for the substitution).
+    //    web sources of the paper (the `biorank_sources` crate docs
+    //    describe the substitution).
     let world = World::generate(WorldParams::default());
 
     // 2. The mediator executes the exploratory query
