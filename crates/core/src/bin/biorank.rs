@@ -4,7 +4,6 @@
 //! biorank proteins                      list queryable proteins
 //! biorank query <PROTEIN> [options]     rank a protein's candidate functions
 //! biorank explain <PROTEIN> <GO>       show the evidence paths behind one answer
-//! biorank topk <PROTEIN> <K>           adaptive top-k with a confidence certificate
 //! biorank scenarios                     the paper's Fig. 5 evaluation
 //! biorank serve [options]               run the concurrent query service
 //! biorank admin <CMD> [NAME] [options]  drive a running server's world registry
@@ -121,11 +120,8 @@
 //!                                         make a world resident; with
 //!                                         --background, return immediately
 //!                                         and build on a worker thread
-//!   world.swap NAME [--seed S] [--extended] [--cache N] [--warm K]
-//!                                         replace + invalidate caches,
-//!                                         replaying the K hottest cached
-//!                                         queries into the fresh engine
-//!                                         (default 8; 0 installs cold)
+//!   world.swap NAME [--seed S] [--extended] [--cache N]
+//!                                         replace + invalidate caches
 //!   world.evict NAME                                      drop a resident world
 //!   world.save NAME                       write NAME's snapshot (spec + the
 //!                                         result cache) to the server's data
@@ -151,13 +147,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use biorank::prelude::*;
-use biorank::rank::{explain::explain, Certificate, CertificateMode, Plan, TopK, TrialsPolicy};
-use biorank::schema::biorank_schema_full;
+use biorank::rank::{explain::explain, Certificate, CertificateMode, Plan, TrialsPolicy};
 use biorank::service::{
     AdaptiveConfig, Client, ClientOptions, Estimator, FaultPlan, Method, MetricsSnapshot,
     QueryRequest, QueryResponse, RankerSpec, ServeOptions, Server, TenancyError, Trials,
-    WorldManager, WorldSpec, WorldStore, DEFAULT_SLOW_QUERY_MICROS, DEFAULT_SWAP_WARM,
-    DEFAULT_WORLD, DEFAULT_WORLD_BUDGET,
+    WorldManager, WorldSpec, WorldStore, DEFAULT_SLOW_QUERY_MICROS, DEFAULT_WORLD,
+    DEFAULT_WORLD_BUDGET,
 };
 
 struct Options {
@@ -185,7 +180,6 @@ struct Options {
     worlds: usize,
     world: Option<String>,
     background: bool,
-    warm: usize,
     trace: bool,
     reset: bool,
     slow_query_micros: u64,
@@ -283,7 +277,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         worlds: DEFAULT_WORLD_BUDGET,
         world: None,
         background: false,
-        warm: DEFAULT_SWAP_WARM,
         trace: false,
         reset: false,
         slow_query_micros: DEFAULT_SLOW_QUERY_MICROS,
@@ -351,13 +344,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .and_then(|v| v.parse().ok())
                         .ok_or("--adaptive-max needs a number")?,
                 );
-            }
-            "--warm" => {
-                i += 1;
-                opts.warm = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--warm needs a number")?;
             }
             "--addr" => {
                 i += 1;
@@ -495,23 +481,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn build(opts: &Options) -> (World, Mediator) {
+fn cmd_proteins(opts: &Options) -> Result<(), String> {
     let world = World::generate(WorldParams {
         seed: opts.seed,
         extended: opts.extended,
         ..WorldParams::default()
     });
-    let bundle = if opts.extended {
-        biorank_schema_full()
-    } else {
-        biorank_schema_with_ontology()
-    };
-    let mediator = Mediator::new(bundle.schema, world.registry());
-    (world, mediator)
-}
-
-fn cmd_proteins(opts: &Options) -> Result<(), String> {
-    let (world, _) = build(opts);
     println!("{:<10} {:<14} {:>10}", "Protein", "Kind", "Candidates");
     for p in &world.profiles {
         let kind = match p.kind {
@@ -948,17 +923,8 @@ fn cmd_admin(opts: &Options) -> Result<(), String> {
         }
         "world.swap" => {
             let world = name()?;
-            let generation = client
-                .world_swap_warm(world, spec, opts.warm)
-                .map_err(|e| e.to_string())?;
-            println!(
-                "world {world:?} swapped (generation {generation}, caches invalidated{})",
-                if opts.warm > 0 {
-                    format!(", warm-up budget {}", opts.warm)
-                } else {
-                    String::new()
-                }
-            );
+            let generation = client.world_swap(world, spec).map_err(|e| e.to_string())?;
+            println!("world {world:?} swapped (generation {generation}, caches invalidated)");
         }
         "world.evict" => {
             let world = name()?;
@@ -1102,8 +1068,14 @@ fn cmd_explain(opts: &Options) -> Result<(), String> {
         .positional
         .get(1)
         .ok_or("usage: biorank explain <PROTEIN> <GO:xxxxxxx>")?;
-    let (_, mediator) = build(opts);
-    let result = mediator
+    let engine = WorldSpec {
+        seed: opts.seed,
+        extended: opts.extended,
+        cache_capacity: opts.cache,
+    }
+    .build();
+    let result = engine
+        .mediator()
         .execute(&ExploratoryQuery::protein_functions(protein))
         .map_err(|e| e.to_string())?;
     let q = &result.query;
@@ -1137,45 +1109,6 @@ fn cmd_explain(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_topk(opts: &Options) -> Result<(), String> {
-    let protein = opts
-        .positional
-        .first()
-        .ok_or("usage: biorank topk <PROTEIN> <K>")?;
-    let k: usize = opts
-        .positional
-        .get(1)
-        .and_then(|v| v.parse().ok())
-        .ok_or("usage: biorank topk <PROTEIN> <K>")?;
-    let (_, mediator) = build(opts);
-    let result = mediator
-        .execute(&ExploratoryQuery::protein_functions(protein))
-        .map_err(|e| e.to_string())?;
-    let out = TopK::new(k).run(&result.query).map_err(|e| e.to_string())?;
-    println!(
-        "top-{k} of {} candidates after {} trials ({}):",
-        result.query.answers().len(),
-        out.trials_used,
-        if out.certified {
-            "95% rank certificate reached"
-        } else {
-            "trial ceiling hit, boundary still ambiguous"
-        }
-    );
-    for (i, (n, score)) in out.top.iter().enumerate() {
-        println!(
-            "{:>3}  {:<12} {:<42} {score:.4}",
-            i + 1,
-            result.answer_key(*n).unwrap_or("?"),
-            truncate(result.label(*n), 42)
-        );
-    }
-    if let Some(r) = out.runner_up {
-        println!("     (best excluded answer: {r:.4})");
-    }
-    Ok(())
-}
-
 fn cmd_scenarios(opts: &Options) -> Result<(), String> {
     let world = World::generate(WorldParams {
         seed: opts.seed,
@@ -1204,7 +1137,7 @@ fn truncate(s: &str, n: usize) -> String {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().cloned() else {
-        eprintln!("usage: biorank <proteins|query|explain|topk|scenarios|serve|admin> [args]");
+        eprintln!("usage: biorank <proteins|query|explain|scenarios|serve|admin> [args]");
         eprintln!("see `biorank --help` in the README for details");
         return ExitCode::FAILURE;
     };
@@ -1219,7 +1152,6 @@ fn main() -> ExitCode {
         "proteins" => cmd_proteins(&opts),
         "query" => cmd_query(&opts),
         "explain" => cmd_explain(&opts),
-        "topk" => cmd_topk(&opts),
         "scenarios" => cmd_scenarios(&opts),
         "serve" => cmd_serve(&opts),
         "admin" => cmd_admin(&opts),

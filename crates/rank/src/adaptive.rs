@@ -21,11 +21,9 @@
 //! (ε, δ) — the ceiling is `min(engine.trials(), n(ε, δ))` — while
 //! easy queries stop after hundreds of trials instead of thousands.
 //!
-//! The gaps are *observed* estimates standing in for true scores, the
-//! same reading the adaptive top-k evaluator ([`crate::TopK`]) uses
-//! for its boundary gap; the certificate therefore asserts the
-//! ranking of the separations the run has seen, at per-pair
-//! confidence 1 − δ.
+//! The gaps are *observed* estimates standing in for true scores; the
+//! certificate therefore asserts the ranking of the separations the
+//! run has seen, at per-pair confidence 1 − δ.
 //!
 //! **Top-k certification.** Ranking semantics only need scores precise
 //! enough to order the answers a user actually sees. When the caller

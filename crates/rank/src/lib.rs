@@ -57,7 +57,6 @@ mod propagation;
 mod reliability;
 mod score;
 mod ties;
-mod topk;
 mod word;
 
 pub use adaptive::{AdaptiveOutcome, AdaptiveRunner, Certificate, CertificateMode};
@@ -71,7 +70,6 @@ pub use propagation::Propagation;
 pub use reliability::{ClosedReliability, ReducedMc, SolveMode};
 pub use score::{Ranker, Scores};
 pub use ties::{RankedEntry, Ranking, TieGroup};
-pub use topk::{TopK, TopKResult};
 pub use word::{WordMc, WordState};
 
 use std::fmt;

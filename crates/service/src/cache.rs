@@ -229,41 +229,27 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         shard.insert(key, value);
     }
 
-    /// Up to `limit` resident keys, hottest (approximately
-    /// most-recently-used) first.
+    /// Every resident entry (a clone of each value), hottest
+    /// (approximately most-recently-used) first — the export order of
+    /// a snapshot.
     ///
     /// Recency is tracked per shard, so the global order is an
     /// interleaving of per-shard MRU lists — position `i` of every
-    /// shard before position `i + 1` of any. That approximation is
-    /// exactly good enough for its one caller, cache warm-up on world
-    /// swap, where "the hot set" matters and its internal order does
-    /// not.
-    pub fn hot_keys(&self, limit: usize) -> Vec<K> {
-        self.hot_entries(limit)
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect()
-    }
-
-    /// Like [`hot_keys`](ShardedLru::hot_keys), but each key arrives
-    /// with (a clone of) its resident value — for callers that replay
-    /// the hot set and need per-entry context, like the swap warm-up
-    /// replaying a result's certified coverage.
-    pub fn hot_entries(&self, limit: usize) -> Vec<(K, V)> {
+    /// shard before position `i + 1` of any. An importing cache hashes
+    /// keys to shards differently, so this order, not the shard
+    /// layout, is what carries recency across a restore.
+    pub fn hot_entries(&self) -> Vec<(K, V)> {
         let lists: Vec<Vec<(K, V)>> = self
             .shards
             .iter()
             .map(|s| s.lock().expect("cache shard").entries_mru())
             .collect();
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(lists.iter().map(Vec::len).sum());
         let longest = lists.iter().map(Vec::len).max().unwrap_or(0);
-        'fill: for rank in 0..longest {
+        for rank in 0..longest {
             for list in &lists {
                 if let Some(entry) = list.get(rank) {
                     out.push(entry.clone());
-                    if out.len() == limit {
-                        break 'fill;
-                    }
                 }
             }
         }
@@ -356,17 +342,32 @@ mod tests {
     }
 
     #[test]
-    fn hot_keys_are_mru_first_and_bounded() {
+    fn hot_entries_interleave_per_shard_mru_lists() {
         let c: ShardedLru<u32, u32> = ShardedLru::new(8, 1);
         for i in 0..5 {
-            c.insert(i, i);
+            c.insert(i, i * 10);
         }
         c.get(&1); // promote 1 to the front
-        let hot = c.hot_keys(3);
-        assert_eq!(hot.len(), 3);
-        assert_eq!(hot[0], 1, "most recently used leads");
-        assert!(c.hot_keys(100).len() == 5, "limit caps at residency");
-        assert!(ShardedLru::<u32, u32>::new(4, 2).hot_keys(3).is_empty());
+        assert_eq!(
+            c.hot_entries(),
+            vec![(1, 10), (4, 40), (3, 30), (2, 20), (0, 0)],
+            "most recently used leads, every resident entry follows"
+        );
+        assert!(ShardedLru::<u32, u32>::new(4, 2).hot_entries().is_empty());
+        // Across shards: every shard's MRU head precedes any shard's
+        // second entry.
+        let c: ShardedLru<u32, u32> = ShardedLru::new(64, 4);
+        for i in 0..32 {
+            c.insert(i, i);
+        }
+        let hot = c.hot_entries();
+        assert_eq!(hot.len(), 32);
+        let heads: Vec<(u32, u32)> = c
+            .shards
+            .iter()
+            .filter_map(|s| s.lock().unwrap().entries_mru().first().copied())
+            .collect();
+        assert_eq!(hot[..heads.len()], heads[..]);
     }
 
     #[test]

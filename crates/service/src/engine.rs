@@ -28,8 +28,7 @@
 //! is resolved by a pure function of the request and its graph's
 //! features, never of what the engine has served before.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -694,14 +693,6 @@ pub struct QueryEngine {
     graphs: ShardedLru<ExploratoryQuery, Arc<IntegrationResult>>,
     results: ShardedLru<(ExploratoryQuery, RankerSpec), Arc<RankedResult>>,
     metrics: Arc<MetricsRegistry>,
-    /// Result-cache keys populated by [`QueryEngine::warm`] that no
-    /// client request has hit yet. Each key converts at most once
-    /// (`warm.hits` counts conversions, not repeat traffic), and the
-    /// atomic size mirror keeps the hit path lock-free once the set
-    /// drains — the steady state of every engine that was never
-    /// warmed, or whose warm set has fully converted.
-    warmed: Mutex<HashSet<(ExploratoryQuery, RankerSpec)>>,
-    warmed_remaining: AtomicU64,
     /// Single-flight table: one in-progress computation per result
     /// key. Concurrent identical misses block here instead of
     /// recomputing, then serve the leader's cached entry.
@@ -787,8 +778,6 @@ impl QueryEngine {
             graphs: ShardedLru::new(capacity, DEFAULT_CACHE_SHARDS),
             results: ShardedLru::new(capacity, DEFAULT_CACHE_SHARDS),
             metrics: Arc::new(MetricsRegistry::new()),
-            warmed: Mutex::new(HashSet::new()),
-            warmed_remaining: AtomicU64::new(0),
             flights: Mutex::new(HashMap::new()),
             features: ShardedLru::new(capacity, DEFAULT_CACHE_SHARDS),
             hints: ComposeHints::none(),
@@ -812,7 +801,7 @@ impl QueryEngine {
 
     /// This engine's metrics registry: per-stage timing histograms,
     /// per-estimator latency/count series, `trials_used`, and
-    /// cache/warm-up counters. Engine-scoped on purpose — per-world
+    /// cache and snapshot-import counters. Engine-scoped on purpose — per-world
     /// metrics die with the engine at swap, exactly like its caches.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
@@ -879,7 +868,6 @@ impl QueryEngine {
             self.metrics.histogram("stage_ns.cache").record(cache_ns);
 
             if let Some(ranked) = hit {
-                self.note_warm_hit(&result_key);
                 let (response, serialize_ns) = trace.time("serialize", || {
                     Self::assemble(&ranked, req.top, true, true, start)
                 });
@@ -1026,20 +1014,6 @@ impl QueryEngine {
         self.metrics
             .histogram(req.spec.latency_metric())
             .record(start.elapsed().as_nanos() as u64);
-    }
-
-    /// Counts the first client hit on each warm-up-populated key
-    /// (`warm.hits`). Lock-free once the warm set has drained.
-    fn note_warm_hit(&self, result_key: &(ExploratoryQuery, RankerSpec)) {
-        if self.warmed_remaining.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let mut warmed = self.warmed.lock().expect("warmed keys");
-        if warmed.remove(result_key) {
-            self.warmed_remaining
-                .store(warmed.len() as u64, Ordering::Relaxed);
-            self.metrics.counter("warm.hits").inc();
-        }
     }
 
     /// Resolves an `estimator: auto` request into the concrete
@@ -1280,67 +1254,6 @@ impl QueryEngine {
         }
     }
 
-    /// Up to `limit` hottest result-cache keys, approximately
-    /// most-recently-used first (per-shard MRU lists, interleaved),
-    /// each tagged with the certified top-k of its stored entry
-    /// (`None` = fully covered: fixed, deterministic, or
-    /// full-certified adaptive). These are the queries a replacement
-    /// engine should answer fast from its first second — see
-    /// [`QueryEngine::warm`].
-    pub fn hot_result_keys(
-        &self,
-        limit: usize,
-    ) -> Vec<(ExploratoryQuery, RankerSpec, Option<u32>)> {
-        self.results
-            .hot_entries(limit)
-            .into_iter()
-            .map(|((query, spec), ranked)| {
-                let k = ranked.certificate.and_then(|c| c.mode.certified_k());
-                (query, spec, k)
-            })
-            .collect()
-    }
-
-    /// Replays result-cache keys (typically another engine's
-    /// [`hot_result_keys`](QueryEngine::hot_result_keys)) against this
-    /// engine, populating both cache layers with **freshly computed**
-    /// entries. A key tagged with a certified top-k is replayed as the
-    /// same top-k-certified request, so warming costs what the hot
-    /// queries cost — never the full-certification trial budget a
-    /// top-k client avoided. Returns how many keys executed
-    /// successfully; failures (e.g. a query the new world cannot
-    /// answer) are skipped — warming is best-effort by design.
-    pub fn warm(&self, keys: &[(ExploratoryQuery, RankerSpec, Option<u32>)]) -> usize {
-        let mut replayed = Vec::new();
-        for (query, spec, k) in keys {
-            let ok = self
-                .execute(&QueryRequest {
-                    query: query.clone(),
-                    spec: *spec,
-                    top: Some(k.map(|k| k as usize).unwrap_or(0)),
-                    certify_top: k.is_some(),
-                    world: None,
-                    trace: false,
-                    deadline_ms: None,
-                })
-                .is_ok();
-            if ok {
-                self.metrics.counter("warm.replayed").inc();
-                replayed.push((query.clone(), spec.cache_key()));
-            } else {
-                self.metrics.counter("warm.failed").inc();
-            }
-        }
-        let count = replayed.len();
-        if count > 0 {
-            let mut warmed = self.warmed.lock().expect("warmed keys");
-            warmed.extend(replayed);
-            self.warmed_remaining
-                .store(warmed.len() as u64, Ordering::Relaxed);
-        }
-        count
-    }
-
     /// The result cache's entries, most-recently-used first — the raw
     /// material of a durable snapshot (see `crate::persist`). The
     /// graph cache is not exported: it is a pure function of world and
@@ -1348,35 +1261,24 @@ impl QueryEngine {
     /// exporting never blocks the query path beyond the per-shard
     /// locks a normal lookup takes.
     pub fn export_cache(&self) -> Vec<((ExploratoryQuery, RankerSpec), Arc<RankedResult>)> {
-        self.results.hot_entries(usize::MAX)
+        self.results.hot_entries()
     }
 
     /// Replays exported result entries (see
     /// [`export_cache`](QueryEngine::export_cache)) into this engine
     /// **verbatim** — no recomputation, so a snapshot restore is
-    /// bit-identical by construction where [`QueryEngine::warm`]
-    /// merely re-runs the same requests. Entries arrive MRU-first and
-    /// are inserted in reverse, so the restored LRU order matches the
-    /// exported one. Every imported entry counts on `warm.replayed`
-    /// and joins the warm set (first client hit counts on
-    /// `warm.hits`), exactly like a swap warm-up. Returns the number
-    /// of entries imported.
+    /// bit-identical by construction. Entries arrive MRU-first and are
+    /// inserted in reverse, so the restored LRU order matches the
+    /// exported one. Every imported entry counts on `warm.replayed`.
+    /// Returns the number of entries imported.
     pub fn import_cache(
         &self,
         results: Vec<((ExploratoryQuery, RankerSpec), Arc<RankedResult>)>,
     ) -> usize {
-        let mut keys = Vec::new();
-        for ((query, spec), ranked) in results.into_iter().rev() {
+        let count = results.len();
+        for (key, ranked) in results.into_iter().rev() {
             self.metrics.counter("warm.replayed").inc();
-            keys.push((query.clone(), spec));
-            self.results.insert((query, spec), ranked);
-        }
-        let count = keys.len();
-        if count > 0 {
-            let mut warmed = self.warmed.lock().expect("warmed keys");
-            warmed.extend(keys);
-            self.warmed_remaining
-                .store(warmed.len() as u64, Ordering::Relaxed);
+            self.results.insert(key, ranked);
         }
         count
     }

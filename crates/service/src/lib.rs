@@ -97,7 +97,7 @@ pub use server::{
 };
 pub use tenancy::{
     MetricsReport, ServiceStats, TenancyError, WorldInfo, WorldManager, WorldMetrics, WorldSpec,
-    WorldState, WorldStats, DEFAULT_SWAP_WARM, DEFAULT_WORLD, DEFAULT_WORLD_BUDGET,
+    WorldState, WorldStats, DEFAULT_WORLD, DEFAULT_WORLD_BUDGET,
 };
 pub use wire::{AdminRequest, AdminResponse, RequestDefaults};
 

@@ -869,8 +869,8 @@ fn execute_admin(
             Some(generation) => Ok(AdminResponse::World { world, generation }),
             None => Ok(AdminResponse::Loading { world }),
         },
-        AdminRequest::Swap { world, spec, warm } => {
-            let generation = manager.swap(&world, spec, warm)?;
+        AdminRequest::Swap { world, spec } => {
+            let generation = manager.swap(&world, spec, 0)?;
             Ok(AdminResponse::World { world, generation })
         }
         AdminRequest::Evict { world } => {
@@ -1139,28 +1139,12 @@ impl Client {
         }
     }
 
-    /// `world.swap`: replace a world (invalidating its caches) with
-    /// the default warm-up ([`DEFAULT_SWAP_WARM`]
-    /// hottest keys replayed into the fresh engine); returns the new
-    /// generation.
-    ///
-    /// [`DEFAULT_SWAP_WARM`]: crate::tenancy::DEFAULT_SWAP_WARM
+    /// `world.swap`: replace a world with a freshly built engine whose
+    /// caches start cold; returns the new generation.
     pub fn world_swap(&mut self, world: &str, spec: WorldSpec) -> Result<u64, crate::Error> {
-        self.world_swap_warm(world, spec, crate::tenancy::DEFAULT_SWAP_WARM)
-    }
-
-    /// `world.swap` with an explicit warm-up count (0 installs the
-    /// replacement engine fully cold).
-    pub fn world_swap_warm(
-        &mut self,
-        world: &str,
-        spec: WorldSpec,
-        warm: usize,
-    ) -> Result<u64, crate::Error> {
         match self.admin(AdminRequest::Swap {
             world: world.to_string(),
             spec,
-            warm,
         })? {
             AdminResponse::World { generation, .. } => Ok(generation),
             other => Err(unexpected_admin(other)),

@@ -88,9 +88,6 @@
 //! `world.load` with `"background":true` answers
 //! `{"id":2,"ok":true,"world":"staging","status":"loading"}`
 //! immediately and installs the world from a worker thread when built.
-//! `world.swap` accepts a `warm` count (default 8): how many of the
-//! replaced engine's hottest cached queries to replay into the fresh
-//! engine before installing it (0 installs cold).
 //!
 //! Response line (failure): `{"id":1,"ok":false,"error":"..."}`.
 //!
@@ -117,7 +114,6 @@ use crate::engine::{
 };
 use crate::tenancy::{
     MetricsReport, ServiceStats, WorldInfo, WorldMetrics, WorldSpec, WorldState, WorldStats,
-    DEFAULT_SWAP_WARM,
 };
 
 /// A parsed JSON value.
@@ -529,9 +525,6 @@ pub enum AdminRequest {
         world: String,
         /// How to build the replacement.
         spec: WorldSpec,
-        /// Hottest cached queries of the replaced engine to replay
-        /// into the fresh engine before installing it (0 = cold).
-        warm: usize,
     },
     /// `world.evict` — drop a resident world.
     Evict {
@@ -786,10 +779,9 @@ fn encode_admin_request(id: u64, admin: &AdminRequest) -> String {
                 fields.push(("background", Json::Bool(true)));
             }
         }
-        AdminRequest::Swap { world, spec, warm } => {
+        AdminRequest::Swap { world, spec } => {
             fields.push(("cmd", Json::Str("world.swap".into())));
             spec_fields(world, spec, &mut fields);
-            fields.push(("warm", Json::Num(*warm as f64)));
         }
         AdminRequest::Evict { world } => {
             fields.push(("cmd", Json::Str("world.evict".into())));
@@ -877,15 +869,6 @@ pub fn decode_request_with(line: &str, defaults: &RequestDefaults) -> Result<Req
         "world.swap" => RequestBody::Admin(AdminRequest::Swap {
             world: get_str(&fields, "world")?,
             spec: decode_world_spec(&fields)?,
-            warm: fields
-                .get("warm")
-                .map(|v| {
-                    v.as_u64()
-                        .map(|w| w as usize)
-                        .ok_or_else(|| wire_err("field \"warm\" must be a non-negative integer"))
-                })
-                .transpose()?
-                .unwrap_or(DEFAULT_SWAP_WARM),
         }),
         "world.evict" => RequestBody::Admin(AdminRequest::Evict {
             world: get_str(&fields, "world")?,
@@ -2100,12 +2083,6 @@ mod tests {
             AdminRequest::Swap {
                 world: "staging".into(),
                 spec: WorldSpec::default(),
-                warm: 0,
-            },
-            AdminRequest::Swap {
-                world: "staging".into(),
-                spec: WorldSpec::default(),
-                warm: 32,
             },
             AdminRequest::Evict {
                 world: "staging".into(),
@@ -2120,7 +2097,7 @@ mod tests {
             assert_eq!(decode_request(&encode_request(&r)).unwrap(), r);
         }
         // Spec fields default when omitted; loads default to
-        // foreground, swaps to the default warm-up count.
+        // foreground.
         let r = decode_request("{\"id\":1,\"cmd\":\"world.load\",\"world\":\"w\"}").unwrap();
         assert_eq!(
             r.body,
@@ -2136,10 +2113,32 @@ mod tests {
             RequestBody::Admin(AdminRequest::Swap {
                 world: "w".into(),
                 spec: WorldSpec::default(),
-                warm: DEFAULT_SWAP_WARM,
             })
         );
         assert!(decode_request("{\"id\":1,\"cmd\":\"world.revolve\"}").is_err());
+    }
+
+    #[test]
+    fn swap_line_with_a_warm_count_still_decodes() {
+        // The line shape older clients and the benchmark harness send:
+        // `warm` is accepted and ignored like any field the server
+        // does not read.
+        let line = "{\"id\":7,\"cmd\":\"world.swap\",\"world\":\"mixed\",\"seed\":\"1234\",\
+                    \"extended\":false,\"cache\":64,\"warm\":32}";
+        assert_eq!(
+            decode_request(line).unwrap(),
+            Request {
+                id: 7,
+                body: RequestBody::Admin(AdminRequest::Swap {
+                    world: "mixed".into(),
+                    spec: WorldSpec {
+                        seed: 1234,
+                        extended: false,
+                        cache_capacity: 64,
+                    },
+                }),
+            }
+        );
     }
 
     #[test]

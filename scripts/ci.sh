@@ -184,6 +184,24 @@ for extra in "" "--certify-top"; do
         exit 1
     fi
 done
+# Old clients (and the benchmark harness) still send `"warm":N` on
+# world.swap: the line must decode and swap, and a swap runs no query
+# on the replacement engine, so no metric named for warm-up appears.
+echo "==> biorank world.swap with a warm field wire smoke"
+./target/release/biorank admin world.load aux --seed 99 --addr "$addr"
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+printf '{"id":1,"cmd":"world.swap","world":"aux","seed":"99","warm":32}\n' >&3
+IFS= read -r swap_reply <&3
+exec 3<&- 3>&-
+echo "swap reply: $swap_reply" >&2
+echo "$swap_reply" | grep -q '"generation"'
+metrics_out="$(./target/release/biorank admin metrics --addr "$addr")"
+echo "$metrics_out" | grep -Eq "tenancy\.swap +1$"
+if echo "$metrics_out" | grep -q "warm"; then
+    echo "a swap registered a warm-up metric:" >&2
+    echo "$metrics_out" | grep "warm" >&2
+    exit 1
+fi
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 

@@ -137,13 +137,10 @@ fn swap_invalidates_both_cache_layers() {
     );
     assert_eq!(warm.answers, cold.answers);
 
-    // Swap to the *same* spec with warm-up disabled (`warm: 0`): the
-    // data is identical, but the caches must not be — the very same
-    // query recomputes from scratch. (Default swaps replay the hottest
-    // keys into the fresh engine; that replay is itself a fresh
-    // computation, which `swap_warmup_replays_fresh_values` pins.)
+    // Swap to the *same* spec: the data is identical, but the caches
+    // must not be — the very same query recomputes from scratch.
     let g2 = client
-        .world_swap_warm("live", spec_with_seed(0xA11CE), 0)
+        .world_swap("live", spec_with_seed(0xA11CE))
         .expect("swap");
     assert!(g2 > g1, "swap must bump the generation");
     let post_swap = client.query(&galt(Some("live"))).expect("post-swap");
@@ -158,7 +155,7 @@ fn swap_invalidates_both_cache_layers() {
 
     // Swap to a different seed: fresh results, not the old world's.
     client
-        .world_swap_warm("live", spec_with_seed(0xB0B), 0)
+        .world_swap("live", spec_with_seed(0xB0B))
         .expect("swap data");
     let other_world = client.query(&galt(Some("live"))).expect("new data");
     assert!(!other_world.cached_scores);
@@ -308,47 +305,6 @@ fn lru_eviction_respects_budget_over_the_wire() {
     assert!(client.query(&galt(Some("b"))).is_ok());
     // The pinned default keeps serving throughout.
     assert!(client.query(&galt(None)).is_ok());
-
-    handle.shutdown();
-}
-
-/// Default swaps replay the replaced engine's hottest cached queries
-/// into the fresh engine before install: the hot query stays a cache
-/// hit across the swap, but its value is the NEW world's — warm-up can
-/// never resurrect a pre-swap answer.
-#[test]
-fn swap_warmup_replays_fresh_values() {
-    let handle = start_server(4, 2);
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    client
-        .world_load("live", spec_with_seed(0xAA))
-        .expect("load");
-
-    // Make GALT the hot key of the outgoing engine.
-    let before = client.query(&galt(Some("live"))).expect("hot query");
-    assert!(
-        client
-            .query(&galt(Some("live")))
-            .expect("warm repeat")
-            .cached_scores
-    );
-
-    // Default swap (warm-up on) to a *different* world seed.
-    client
-        .world_swap("live", spec_with_seed(0xBB))
-        .expect("swap");
-    let after = client.query(&galt(Some("live"))).expect("post-swap");
-    assert!(
-        after.cached_scores,
-        "the hot query must not fall off a latency cliff after the swap"
-    );
-    let scores =
-        |r: &biorank::service::QueryResponse| r.answers.iter().map(|a| a.score).collect::<Vec<_>>();
-    assert_ne!(
-        scores(&after),
-        scores(&before),
-        "warmed entries are fresh computations on the new world, never replayed answers"
-    );
 
     handle.shutdown();
 }
