@@ -150,9 +150,8 @@ use biorank::prelude::*;
 use biorank::rank::{explain::explain, Certificate, CertificateMode, Plan, TrialsPolicy};
 use biorank::service::{
     AdaptiveConfig, Client, ClientOptions, Estimator, FaultPlan, Method, MetricsSnapshot,
-    QueryRequest, QueryResponse, RankerSpec, ServeOptions, Server, TenancyError, Trials,
-    WorldManager, WorldSpec, WorldStore, DEFAULT_SLOW_QUERY_MICROS, DEFAULT_WORLD,
-    DEFAULT_WORLD_BUDGET,
+    QueryRequest, QueryResponse, RankerSpec, ServeOptions, Server, Trials, WorldManager, WorldSpec,
+    DEFAULT_SLOW_QUERY_MICROS, DEFAULT_WORLD_BUDGET,
 };
 
 struct Options {
@@ -715,7 +714,17 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         cache_capacity: opts.cache,
     };
     let manager = match opts.data_dir.as_deref() {
-        Some(dir) => durable_manager(dir, spec, opts.worlds)?,
+        // Returns once the default world resolves: the listening line
+        // below is a real ready signal (tests/cli_serve.rs keys on it).
+        Some(dir) => {
+            let boot =
+                WorldManager::open_durable(dir, spec, opts.worlds).map_err(|e| e.to_string())?;
+            println!(
+                "data dir {dir}: {} world(s) recovered, {} WAL record(s) replayed",
+                boot.restored, boot.recovery.wal_ops_replayed
+            );
+            boot.manager
+        }
         // Built via the same WorldSpec::build an admin world.load
         // would use, so "equal spec" always means "equal engine".
         None => Arc::new(WorldManager::with_default(
@@ -746,12 +755,12 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         },
     )
     .map_err(|e| format!("bind {addr}: {e}"))?;
-    // A durable boot restores recovered worlds on background threads;
-    // hold the listening line — the readiness signal operators (and
-    // ci.sh) key on — until the default world resolves.
-    if opts.data_dir.is_some() {
-        wait_for_default(&manager)?;
-    }
+    // Graceful drain on SIGTERM, armed before the listening line: the
+    // handler only flips a flag (async-signal-safe); a monitor thread
+    // drains, run() returns once that drain has finished, and the
+    // process exits 0 after the monitor has reported it.
+    #[cfg(unix)]
+    let monitor = install_sigterm_drain(server.handle().map_err(|e| e.to_string())?);
     println!(
         "biorank-serve listening on {} ({} workers, cache capacity {}, world budget {}, \
          default seed {:#x}{})",
@@ -766,12 +775,12 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             ""
         }
     );
-    // Graceful drain on SIGTERM: the handler itself only flips a
-    // flag (async-signal-safe); a monitor thread runs the actual
-    // drain, which makes run() return and the process exit 0.
+    let served = server.run().map_err(|e| e.to_string());
     #[cfg(unix)]
-    install_sigterm_drain(server.handle().map_err(|e| e.to_string())?);
-    server.run().map_err(|e| e.to_string())
+    if SIGTERM_RECEIVED.load(std::sync::atomic::Ordering::SeqCst) {
+        let _ = monitor.join();
+    }
+    served
 }
 
 /// Set by the raw SIGTERM handler; polled by the drain monitor.
@@ -781,9 +790,9 @@ static SIGTERM_RECEIVED: std::sync::atomic::AtomicBool = std::sync::atomic::Atom
 /// Installs the SIGTERM → graceful-drain path without a libc crate:
 /// a raw `signal(2)` registration whose handler does one atomic
 /// store, plus a monitor thread that performs the drain outside
-/// signal context.
+/// signal context. The monitor returns only after a SIGTERM drain.
 #[cfg(unix)]
-fn install_sigterm_drain(handle: biorank::service::ServerHandle) {
+fn install_sigterm_drain(handle: biorank::service::ServerHandle) -> std::thread::JoinHandle<()> {
     use std::sync::atomic::Ordering;
     extern "C" fn on_sigterm(_signum: i32) {
         SIGTERM_RECEIVED.store(true, Ordering::SeqCst);
@@ -805,81 +814,7 @@ fn install_sigterm_drain(handle: biorank::service::ServerHandle) {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
-    });
-}
-
-/// Opens (or creates) `--data-dir`, replays its manifest + admin WAL,
-/// and returns a manager with every recovered world restoring on a
-/// background thread from its snapshot (warm caches). The CLI's own
-/// `--seed`/`--extended`/`--cache` flags define the default world: a
-/// recovered default with the same spec restores warm; a mismatch is
-/// rebuilt from the flags (the operator's flags win).
-fn durable_manager(dir: &str, spec: WorldSpec, budget: usize) -> Result<Arc<WorldManager>, String> {
-    let manager = WorldManager::new(budget);
-    let store = Arc::new(
-        WorldStore::open(dir, manager.metrics())
-            .map_err(|e| format!("open data dir {dir}: {e}"))?,
-    );
-    let recovery = store
-        .recover()
-        .map_err(|e| format!("recover data dir {dir}: {e}"))?;
-    let manager = Arc::new(
-        manager
-            .with_store(Arc::clone(&store))
-            .map_err(|e| e.to_string())?,
-    );
-    manager.set_generation_floor(recovery.next_generation);
-    let mut restored = 0usize;
-    let mut default_recovered = false;
-    for (name, world) in &recovery.worlds {
-        let wspec = match biorank::service::persist::world_spec(world.spec) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("skipping recovered world {name:?}: {e}");
-                continue;
-            }
-        };
-        if name == DEFAULT_WORLD && wspec != spec {
-            continue; // the flags changed; rebuild the default below
-        }
-        let snapshot = world.snapshot.as_deref().and_then(|f| {
-            // A missing or corrupt snapshot downgrades to a cold
-            // rebuild of the recorded spec, never a boot failure.
-            store.load_snapshot(f).ok()
-        });
-        manager
-            .restore_background(name, wspec, world.generation, snapshot)
-            .map_err(|e| format!("restore world {name:?}: {e}"))?;
-        restored += 1;
-        if name == DEFAULT_WORLD {
-            default_recovered = true;
-        }
-    }
-    if !default_recovered {
-        manager
-            .load(DEFAULT_WORLD, spec)
-            .map_err(|e| e.to_string())?;
-    }
-    println!(
-        "data dir {dir}: {restored} world(s) recovered, {} WAL record(s) replayed",
-        recovery.wal_ops_replayed
-    );
-    Ok(manager)
-}
-
-/// Blocks until the default world is resident (restores run on
-/// background threads), so the listening line is a real ready signal.
-fn wait_for_default(manager: &WorldManager) -> Result<(), String> {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(300);
-    loop {
-        match manager.resolve(None) {
-            Ok(_) => return Ok(()),
-            Err(TenancyError::WorldLoading(_)) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            Err(e) => return Err(format!("default world never became ready: {e}")),
-        }
-    }
+    })
 }
 
 /// `biorank admin`: drive a running server's world registry.

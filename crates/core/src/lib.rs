@@ -88,4 +88,23 @@ mod tests {
         assert_eq!(p.or(p).get(), 0.75);
         assert!(random_ap(1, 2).is_some());
     }
+
+    /// Every repo-level `tests/*.rs` is a `[[test]]` of this package and
+    /// every `examples/*.rs` an `[[example]]`: an unlisted file would
+    /// silently never build or run.
+    #[test]
+    fn every_root_test_and_example_is_a_target() {
+        let manifest = include_str!("../Cargo.toml");
+        for (dir, table) in [("tests", "[[test]]"), ("examples", "[[example]]")] {
+            let root = format!("{}/../../{dir}", env!("CARGO_MANIFEST_DIR"));
+            for file in std::fs::read_dir(root).expect(dir) {
+                let name = file.expect(dir).file_name().into_string().expect("utf-8");
+                let Some(stem) = name.strip_suffix(".rs") else {
+                    continue;
+                };
+                let entry = format!("{table}\nname = \"{stem}\"\npath = \"../../{dir}/{name}\"\n");
+                assert!(manifest.contains(&entry), "Cargo.toml lacks:\n{entry}");
+            }
+        }
+    }
 }

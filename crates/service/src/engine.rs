@@ -1269,7 +1269,7 @@ impl QueryEngine {
     /// **verbatim** — no recomputation, so a snapshot restore is
     /// bit-identical by construction. Entries arrive MRU-first and are
     /// inserted in reverse, so the restored LRU order matches the
-    /// exported one. Every imported entry counts on `warm.replayed`.
+    /// exported one. Every imported entry counts on `snapshot.results_imported`.
     /// Returns the number of entries imported.
     pub fn import_cache(
         &self,
@@ -1277,7 +1277,7 @@ impl QueryEngine {
     ) -> usize {
         let count = results.len();
         for (key, ranked) in results.into_iter().rev() {
-            self.metrics.counter("warm.replayed").inc();
+            self.metrics.counter("snapshot.results_imported").inc();
             self.results.insert(key, ranked);
         }
         count

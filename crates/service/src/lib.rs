@@ -96,8 +96,8 @@ pub use server::{
     DEFAULT_WRITE_TIMEOUT_MS,
 };
 pub use tenancy::{
-    MetricsReport, ServiceStats, TenancyError, WorldInfo, WorldManager, WorldMetrics, WorldSpec,
-    WorldState, WorldStats, DEFAULT_WORLD, DEFAULT_WORLD_BUDGET,
+    DurableBoot, MetricsReport, ServiceStats, TenancyError, WorldInfo, WorldManager, WorldMetrics,
+    WorldSpec, WorldState, WorldStats, DEFAULT_WORLD, DEFAULT_WORLD_BUDGET,
 };
 pub use wire::{AdminRequest, AdminResponse, RequestDefaults};
 

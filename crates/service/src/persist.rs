@@ -301,7 +301,7 @@ pub fn snapshot_spec(payload: &[u8]) -> Result<WorldSpec> {
 /// whose embedded spec differs is rejected without touching the
 /// engine (the stale-snapshot guard). Returns the number of result
 /// entries imported (each also counts on the engine's
-/// `warm.replayed`).
+/// `snapshot.results_imported`).
 pub fn import_snapshot(engine: &QueryEngine, payload: &[u8], expected: WorldSpec) -> Result<usize> {
     let mut r = Reader::new(payload);
     let spec = decode_header(&mut r)?;
@@ -399,7 +399,7 @@ mod tests {
             restored
                 .metrics_snapshot()
                 .counters
-                .get("warm.replayed")
+                .get("snapshot.results_imported")
                 .copied()
                 .unwrap_or(0)
                 > 0

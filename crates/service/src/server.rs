@@ -242,6 +242,8 @@ pub struct Server {
     pool: Arc<WorkerPool>,
     shutdown: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
+    /// Drains still running; [`Server::run`] waits for it to reach zero.
+    drains: Arc<InFlightGauge>,
     defaults: ServerDefaults,
     slow_log: Arc<SlowQueryLog>,
     budget: Arc<ConnectionBudget>,
@@ -273,6 +275,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
+    drains: Arc<InFlightGauge>,
     in_flight: Arc<InFlightGauge>,
     drain_deadline_ms: u64,
     manager: Arc<WorldManager>,
@@ -297,7 +300,9 @@ impl ServerHandle {
     /// every connection to answer, and checkpoints durable worlds
     /// when a store is attached. Returns the number of worlds
     /// checkpointed. This is what the `server.drain` admin op and the
-    /// CLI's SIGTERM handler call.
+    /// CLI's SIGTERM handler call. [`Server::run`] returns only after
+    /// every drain it has seen start has finished, so a process that
+    /// exits when `run` returns never cuts a checkpoint short.
     pub fn drain(&self) -> Result<usize, crate::Error> {
         perform_drain(self).map_err(crate::Error::Tenancy)
     }
@@ -358,6 +363,7 @@ impl Server {
             pool: Arc::new(WorkerPool::new(opts.workers)),
             shutdown: Arc::new(AtomicBool::new(false)),
             draining: Arc::new(AtomicBool::new(false)),
+            drains: InFlightGauge::new(),
             defaults: ServerDefaults {
                 estimator: opts.default_estimator,
                 trials: opts.default_trials,
@@ -389,6 +395,7 @@ impl Server {
             addr: self.local_addr()?,
             shutdown: Arc::clone(&self.shutdown),
             draining: Arc::clone(&self.draining),
+            drains: Arc::clone(&self.drains),
             in_flight: Arc::clone(&self.in_flight),
             drain_deadline_ms: self.drain_deadline_ms,
             manager: Arc::clone(&self.manager),
@@ -451,12 +458,14 @@ impl Server {
                 self.manager.metrics().counter("shed.connections").inc();
             }
         }
-        // A drain promised its caller the response line goes out
-        // before the process can exit: linger until every connection
-        // thread has returned its permit (the drain client disconnects
-        // right after reading its answer), bounded so an unrelated
-        // idle connection cannot hold the exit hostage.
+        // A drain promised its caller a checkpoint and a response line
+        // before the process can exit. Wait for every started drain
+        // (its thread may hold no permit), then linger until every
+        // connection thread has returned its permit (the drain client
+        // disconnects right after reading its answer), bounded so an
+        // unrelated idle connection cannot hold the exit hostage.
         if self.draining.load(Ordering::SeqCst) {
+            while self.drains.wait_idle(Duration::from_secs(60)) > 0 {}
             let linger = Instant::now() + Duration::from_secs(5);
             while self.budget.active() > 0 && Instant::now() < linger {
                 std::thread::sleep(Duration::from_millis(10));
@@ -489,6 +498,9 @@ fn shed_connection(stream: TcpStream, retry_after_ms: u64) {
 fn perform_drain(handle: &ServerHandle) -> Result<usize, crate::tenancy::TenancyError> {
     let metrics = handle.manager.metrics();
     metrics.counter("drain.requested").inc();
+    // Counted in before the accept loop can see the shutdown, and out
+    // on every return, so `run()` never exits mid-drain.
+    let _running = handle.drains.enter();
     handle.draining.store(true, Ordering::SeqCst);
     handle.shutdown();
     let dropped = handle

@@ -46,6 +46,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -54,7 +55,7 @@ use biorank_obs::{MetricsRegistry, MetricsSnapshot, SlowQueryEntry};
 use biorank_rank::Strategy;
 use biorank_schema::{biorank_schema_full, biorank_schema_with_ontology};
 use biorank_sources::{World, WorldParams};
-use biorank_store::{WalOp, WorldStore};
+use biorank_store::{Recovery, StoreError, WalOp, WorldStore};
 
 use crate::engine::{EngineStats, QueryEngine, DEFAULT_CACHE_CAPACITY};
 use crate::persist;
@@ -280,6 +281,17 @@ pub struct MetricsReport {
     pub worlds: Vec<WorldMetrics>,
     /// Most recent slow queries, oldest first.
     pub slow_queries: Vec<SlowQueryEntry>,
+}
+
+/// What [`WorldManager::open_durable`] booted.
+pub struct DurableBoot {
+    /// The store-backed registry, its default world resident.
+    pub manager: Arc<WorldManager>,
+    /// The manifest + WAL replay the registry restores from.
+    pub recovery: Recovery,
+    /// Recovered worlds handed to a restore: all of them, less a
+    /// recovered default whose spec the caller replaced.
+    pub restored: usize,
 }
 
 struct WorldEntry {
@@ -882,6 +894,67 @@ impl WorldManager {
         );
         self.metrics.counter("tenancy.restore").inc();
         Ok(())
+    }
+
+    /// The durable boot behind `biorank serve --data-dir`: opens (or
+    /// creates) `dir`, replays its manifest + admin WAL, attaches the
+    /// store, raises the generation floor, and restores every
+    /// recovered world in the background — warm from its snapshot
+    /// when that loads, cold when it does not. `default` is the
+    /// default world's spec: a recovered default with another spec is
+    /// skipped and rebuilt from `default` (the caller's spec wins), as
+    /// is a missing one. Returns once the default world resolves;
+    /// other worlds may still be restoring.
+    pub fn open_durable(
+        dir: impl AsRef<Path>,
+        default: WorldSpec,
+        budget: usize,
+    ) -> Result<DurableBoot, TenancyError> {
+        let dir = dir.as_ref();
+        let store_err = |what: &str, e: StoreError| {
+            TenancyError::Persist(format!("{what} data dir {}: {e}", dir.display()))
+        };
+        let manager = WorldManager::new(budget);
+        let store =
+            Arc::new(WorldStore::open(dir, manager.metrics()).map_err(|e| store_err("open", e))?);
+        let recovery = store.recover().map_err(|e| store_err("recover", e))?;
+        let manager = Arc::new(manager.with_store(Arc::clone(&store))?);
+        manager.set_generation_floor(recovery.next_generation);
+        let mut restored = 0;
+        for (name, world) in &recovery.worlds {
+            let spec = persist::world_spec(world.spec).map_err(|e| store_err("recover", e))?;
+            if name == DEFAULT_WORLD && spec != default {
+                continue;
+            }
+            // A missing or corrupt snapshot downgrades to a cold
+            // rebuild of the recorded spec, never a boot failure.
+            let snapshot = world
+                .snapshot
+                .as_deref()
+                .and_then(|f| store.load_snapshot(f).ok());
+            manager.restore_background(name, spec, world.generation, snapshot)?;
+            restored += 1;
+        }
+        // Wait for the default: a restored one installs on its worker
+        // thread (the pinned default always fits); a skipped or missing
+        // one — or one whose restore panicked — loads from `default`.
+        loop {
+            match manager.resolve(None) {
+                Ok(_) => break,
+                Err(TenancyError::WorldLoading(_)) => {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+                Err(TenancyError::WorldNotFound(_)) => {
+                    manager.load(DEFAULT_WORLD, default)?;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(DurableBoot {
+            manager,
+            recovery,
+            restored,
+        })
     }
 
     fn require_store(&self) -> Result<&Arc<WorldStore>, TenancyError> {

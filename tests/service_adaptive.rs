@@ -7,25 +7,12 @@
 //! rule: one entry per (query, spec), hit iff the stored entry
 //! certifies at least the requested k.
 
-use std::sync::Arc;
+mod common;
 
-use biorank::mediator::Mediator;
-use biorank::prelude::*;
 use biorank::rank::{bounds, CertificateMode};
 use biorank::service::{
-    AdaptiveConfig, Client, Estimator, Method, QueryEngine, QueryRequest, RankerSpec, ServeOptions,
-    Server, ServerHandle, Trials,
+    AdaptiveConfig, Client, Estimator, Method, QueryRequest, RankerSpec, ServeOptions, Trials,
 };
-
-fn start_server(opts: ServeOptions) -> ServerHandle {
-    let world = World::generate(WorldParams::default());
-    let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-    let engine = Arc::new(QueryEngine::new(mediator));
-    let server = Server::bind("127.0.0.1:0", engine, opts).expect("bind ephemeral");
-    let handle = server.handle().expect("server handle");
-    std::thread::spawn(move || server.run().expect("server run"));
-    handle
-}
 
 fn spec(trials: Trials, estimator: Option<Estimator>) -> RankerSpec {
     RankerSpec {
@@ -39,7 +26,7 @@ fn spec(trials: Trials, estimator: Option<Estimator>) -> RankerSpec {
 
 #[test]
 fn adaptive_query_certifies_under_the_fixed_budget_and_echoes_certificate() {
-    let handle = start_server(ServeOptions::default());
+    let handle = common::serve(common::engine(), ServeOptions::default());
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     let adaptive = Trials::Adaptive(AdaptiveConfig::default());
@@ -74,7 +61,7 @@ fn adaptive_query_certifies_under_the_fixed_budget_and_echoes_certificate() {
 
 #[test]
 fn adaptive_and_fixed_requests_never_share_cache_entries() {
-    let handle = start_server(ServeOptions::default());
+    let handle = common::serve(common::engine(), ServeOptions::default());
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     let adaptive = Trials::Adaptive(AdaptiveConfig::default());
@@ -109,7 +96,7 @@ fn adaptive_and_fixed_requests_never_share_cache_entries() {
 
 #[test]
 fn certify_top_prefix_reuse_across_k_values() {
-    let handle = start_server(ServeOptions::default());
+    let handle = common::serve(common::engine(), ServeOptions::default());
     let mut client = Client::connect(handle.addr()).expect("connect");
     let word = spec(
         Trials::Adaptive(AdaptiveConfig::default()),
@@ -185,7 +172,7 @@ fn certify_top_prefix_reuse_across_k_values() {
 
 #[test]
 fn top_k_certification_spends_fewer_trials_than_full() {
-    let handle = start_server(ServeOptions::default());
+    let handle = common::serve(common::engine(), ServeOptions::default());
     let mut client = Client::connect(handle.addr()).expect("connect");
     // ABCC8's 97-answer set is the wide-ranking case the feature
     // targets: separating rank 40 from 41 is pure waste for a top-1
@@ -214,7 +201,7 @@ fn top_k_certification_spends_fewer_trials_than_full() {
 
 #[test]
 fn fixed_requests_differing_only_in_top_share_one_entry() {
-    let handle = start_server(ServeOptions::default());
+    let handle = common::serve(common::engine(), ServeOptions::default());
     let mut client = Client::connect(handle.addr()).expect("connect");
     let fixed = spec(Trials::Fixed(400), Some(Estimator::Word));
 
@@ -250,10 +237,13 @@ fn server_adaptive_default_applies_to_requests_without_trials() {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    let handle = start_server(ServeOptions {
-        default_trials: Trials::Adaptive(AdaptiveConfig::default()),
-        ..ServeOptions::default()
-    });
+    let handle = common::serve(
+        common::engine(),
+        ServeOptions {
+            default_trials: Trials::Adaptive(AdaptiveConfig::default()),
+            ..ServeOptions::default()
+        },
+    );
 
     // A hand-written line with no `trials` field takes the server's
     // adaptive default and comes back certified.
@@ -286,7 +276,7 @@ fn server_adaptive_default_applies_to_requests_without_trials() {
 fn adaptive_reliability_method_certifies_too() {
     // The rel method (reduction + MC) rides the same incremental
     // contract: reduce once, then bound-certified traversal batches.
-    let handle = start_server(ServeOptions::default());
+    let handle = common::serve(common::engine(), ServeOptions::default());
     let mut client = Client::connect(handle.addr()).expect("connect");
     let response = client
         .protein_functions(

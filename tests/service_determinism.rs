@@ -3,19 +3,11 @@
 //! and on N workers, and cache hits must return exactly what
 //! recomputation would.
 
-use std::sync::Arc;
+mod common;
 
-use biorank::mediator::Mediator;
 use biorank::prelude::*;
-use biorank::service::{Method, QueryEngine, QueryRequest, RankerSpec, Trials, WorkerPool};
-
-fn engine() -> Arc<QueryEngine> {
-    let world = World::generate(WorldParams::default());
-    Arc::new(QueryEngine::new(Mediator::new(
-        biorank_schema_with_ontology().schema,
-        world.registry(),
-    )))
-}
+use biorank::service::{Method, QueryRequest, RankerSpec, Trials, WorkerPool};
+use common::engine;
 
 /// A batch mixing stochastic and deterministic methods, with repeats
 /// so the cache path is exercised inside the batch itself.
@@ -127,9 +119,8 @@ fn graph_cache_is_shared_across_methods() {
 /// service path must be reproducible and cache-coherent under it.
 #[test]
 fn parallel_mc_is_bit_identical_to_sequential_chunk_execution() {
-    let world = World::generate(WorldParams::default());
-    let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-    let result = mediator
+    let result = engine()
+        .mediator()
         .execute(&ExploratoryQuery::protein_functions("CFTR"))
         .expect("integrate CFTR");
     let q = &result.query;

@@ -4,33 +4,23 @@
 //! (`protein_functions("GALT")` → 15 ranked answers) and its cached
 //! repeat.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 
-use biorank::mediator::Mediator;
-use biorank::prelude::*;
 use biorank::service::{
-    Client, Method, QueryEngine, QueryRequest, RankerSpec, ServeOptions, Server, ServerHandle,
-    Trials,
+    Client, Method, QueryRequest, RankerSpec, ServeOptions, ServerHandle, Trials,
 };
 
 fn start_server(workers: usize) -> ServerHandle {
-    let world = World::generate(WorldParams::default());
-    let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-    let engine = Arc::new(QueryEngine::new(mediator));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        engine,
+    common::serve(
+        common::engine(),
         ServeOptions {
             workers,
             ..Default::default()
         },
     )
-    .expect("bind ephemeral");
-    let handle = server.handle().expect("server handle");
-    std::thread::spawn(move || server.run().expect("server run"));
-    handle
 }
 
 #[test]

@@ -5,32 +5,23 @@
 //! request or vice versa, and the unspecified estimator must share its
 //! entry with an explicit `"traversal"`.
 
+mod common;
+
 use std::sync::Arc;
 
-use biorank::mediator::Mediator;
-use biorank::prelude::*;
 use biorank::service::{
-    Client, Estimator, Method, QueryEngine, QueryRequest, RankerSpec, ServeOptions, Server,
-    ServerHandle, Trials,
+    Client, Estimator, Method, QueryRequest, RankerSpec, ServeOptions, ServerHandle, Trials,
 };
 
 fn start_server(default_estimator: Estimator) -> ServerHandle {
-    let world = World::generate(WorldParams::default());
-    let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-    let engine = Arc::new(QueryEngine::new(mediator));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        engine,
+    common::serve(
+        common::engine(),
         ServeOptions {
             workers: 2,
             default_estimator,
             ..Default::default()
         },
     )
-    .expect("bind ephemeral");
-    let handle = server.handle().expect("server handle");
-    std::thread::spawn(move || server.run().expect("server run"));
-    handle
 }
 
 fn mc_spec(estimator: Option<Estimator>) -> RankerSpec {
@@ -139,13 +130,8 @@ fn word_results_are_identical_across_connections_and_to_inprocess() {
     // The word engine inherits the content-derived seeding contract:
     // the same request answered over any connection equals direct
     // in-process execution bit for bit.
-    let world = World::generate(WorldParams::default());
-    let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-    let engine = Arc::new(QueryEngine::new(mediator));
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), ServeOptions::default())
-        .expect("bind ephemeral");
-    let handle = server.handle().expect("server handle");
-    std::thread::spawn(move || server.run().expect("server run"));
+    let engine = common::engine();
+    let handle = common::serve(Arc::clone(&engine), ServeOptions::default());
 
     let request = QueryRequest::protein_functions("GALT", mc_spec(Some(Estimator::Word)));
     let local = engine.execute_uncached(&request).expect("local execution");

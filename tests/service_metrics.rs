@@ -3,32 +3,23 @@
 //! admin command, and do both without perturbing the ranked answers —
 //! tracing observes the query path, it never participates in it.
 
-use std::sync::Arc;
+mod common;
 
-use biorank::mediator::Mediator;
-use biorank::prelude::*;
 use biorank::service::{
-    AdaptiveConfig, Client, Estimator, Method, QueryEngine, QueryRequest, RankerSpec, ServeOptions,
-    Server, ServerHandle, Trials, WorldSpec,
+    AdaptiveConfig, Client, Estimator, Method, QueryRequest, RankerSpec, ServeOptions,
+    ServerHandle, Trials, WorldSpec,
 };
+use common::engine as fresh_engine;
 
 fn start_server(slow_query_micros: u64) -> ServerHandle {
-    let world = World::generate(WorldParams::default());
-    let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-    let engine = Arc::new(QueryEngine::new(mediator));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        engine,
+    common::serve(
+        fresh_engine(),
         ServeOptions {
             workers: 2,
             slow_query_micros,
             ..Default::default()
         },
     )
-    .expect("bind ephemeral");
-    let handle = server.handle().expect("server handle");
-    std::thread::spawn(move || server.run().expect("server run"));
-    handle
 }
 
 fn adaptive_mc_spec() -> RankerSpec {
@@ -39,14 +30,6 @@ fn adaptive_mc_spec() -> RankerSpec {
         parallel: false,
         estimator: Some(Estimator::Word),
     }
-}
-
-fn fresh_engine() -> QueryEngine {
-    let world = World::generate(WorldParams::default());
-    QueryEngine::new(Mediator::new(
-        biorank_schema_with_ontology().schema,
-        world.registry(),
-    ))
 }
 
 #[test]

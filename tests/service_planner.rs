@@ -6,40 +6,14 @@
 //! it), and a planned execution is byte-identical to a client naming
 //! the chosen strategy outright.
 
-use std::sync::Arc;
+mod common;
 
-use biorank::mediator::Mediator;
 use biorank::prelude::*;
 use biorank::service::{
-    spec_for_strategy, AdaptiveConfig, Client, Estimator, Method, QueryEngine, QueryRequest,
-    RankerSpec, ServeOptions, Server, ServerHandle, Trials, WorldSpec, DEFAULT_CACHE_CAPACITY,
+    spec_for_strategy, AdaptiveConfig, Client, Estimator, Method, QueryRequest, RankerSpec,
+    ServeOptions, Trials, WorldSpec, DEFAULT_CACHE_CAPACITY,
 };
-
-fn fresh_engine() -> QueryEngine {
-    let world = World::generate(WorldParams::default());
-    QueryEngine::new(Mediator::new(
-        biorank_schema_with_ontology().schema,
-        world.registry(),
-    ))
-}
-
-fn start_server() -> ServerHandle {
-    let world = World::generate(WorldParams::default());
-    let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-    let engine = Arc::new(QueryEngine::new(mediator));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        engine,
-        ServeOptions {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .expect("bind ephemeral");
-    let handle = server.handle().expect("server handle");
-    std::thread::spawn(move || server.run().expect("server run"));
-    handle
-}
+use common::engine as fresh_engine;
 
 /// An adaptive Monte Carlo request that asks the planner to choose.
 fn auto_spec() -> RankerSpec {
@@ -271,7 +245,13 @@ fn planned_execution_is_byte_identical_to_the_explicit_strategy() {
 
 #[test]
 fn live_server_defaults_to_auto_and_explicit_opt_out_matches_bytes() {
-    let handle = start_server();
+    let handle = common::serve(
+        fresh_engine(),
+        ServeOptions {
+            workers: 2,
+            ..Default::default()
+        },
+    );
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // The estimator field left unset: the serve default (auto) plans.

@@ -8,20 +8,13 @@
 //! result-cache entry. Only the metrics registry records the
 //! collapsing (`queries.coalesced`).
 
+mod common;
+
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use biorank::mediator::Mediator;
-use biorank::prelude::*;
-use biorank::service::{
-    AdaptiveConfig, Estimator, Method, QueryEngine, QueryRequest, RankerSpec, Trials,
-};
-
-fn engine() -> Arc<QueryEngine> {
-    let world = World::generate(WorldParams::default());
-    let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-    Arc::new(QueryEngine::new(mediator))
-}
+use biorank::service::{AdaptiveConfig, Estimator, Method, QueryRequest, RankerSpec, Trials};
+use common::engine;
 
 fn word_spec(seed: u64, trials: Trials) -> RankerSpec {
     RankerSpec {

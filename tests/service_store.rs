@@ -2,7 +2,8 @@
 //! with an attached [`WorldStore`] survive a full server restart —
 //! the recovered registry lists the same worlds under the same
 //! generations, and the restarted server answers bit-identically
-//! *from its snapshots* (result-cache hits with `warm.replayed > 0`),
+//! *from its snapshots* (result-cache hits with
+//! `snapshot.results_imported > 0`),
 //! never by re-running Monte Carlo. A snapshot holds the result cache
 //! only: the graph cache refills on the first miss per query.
 
@@ -11,11 +12,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use biorank::service::persist;
 use biorank::service::{
     AdaptiveConfig, Client, Estimator, Method, MetricsRegistry, QueryRequest, QueryResponse,
-    RankerSpec, Recovery, ServeOptions, Server, ServerHandle, TenancyError, Trials, WorldManager,
-    WorldSpec, WorldState, WorldStore,
+    RankerSpec, Recovery, ServeOptions, Server, ServerHandle, Trials, WorldManager, WorldSpec,
+    WorldState, WorldStore,
 };
 
 fn fresh_dir() -> PathBuf {
@@ -97,41 +97,19 @@ fn start(manager: Arc<WorldManager>) -> (ServerHandle, std::thread::JoinHandle<(
     (handle, join)
 }
 
-/// Polls until `world` resolves (restores install on worker threads).
-fn wait_ready(manager: &WorldManager, world: Option<&str>) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        match manager.resolve(world) {
-            Ok(_) => return,
-            Err(TenancyError::WorldLoading(_)) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => panic!("world {world:?} never became ready: {e}"),
-        }
-    }
+/// Boots a store-backed manager over `dir` exactly as `biorank serve
+/// --data-dir` does; returns once the default world resolves.
+fn reboot(dir: &Path, budget: usize) -> (Arc<WorldManager>, Recovery) {
+    let boot = WorldManager::open_durable(dir, default_spec(), budget).expect("durable boot");
+    (boot.manager, boot.recovery)
 }
 
-/// Boots a store-backed manager over `dir` the way `biorank serve
-/// --data-dir` does: replay manifest + WAL, then restore every
-/// recovered world in the background, warm from its snapshot when
-/// that loads and cold when it does not.
-fn reboot(dir: &Path, budget: usize) -> (Arc<WorldManager>, Arc<WorldStore>, Recovery) {
-    let manager = WorldManager::new(budget);
-    let store = Arc::new(WorldStore::open(dir, manager.metrics()).expect("reopen data dir"));
-    let recovery = store.recover().expect("recover");
-    let manager = Arc::new(manager.with_store(Arc::clone(&store)).expect("reattach"));
-    manager.set_generation_floor(recovery.next_generation);
-    for (name, world) in &recovery.worlds {
-        let wspec = persist::world_spec(world.spec).expect("recovered spec");
-        let snapshot = world
-            .snapshot
-            .as_deref()
-            .and_then(|f| store.load_snapshot(f).ok());
-        manager
-            .restore_background(name, wspec, world.generation, snapshot)
-            .expect("restore");
-    }
-    (manager, store, recovery)
+/// A default-world manager over `dir`, its default WAL-logged.
+fn first_life(dir: &Path) -> Arc<WorldManager> {
+    let spec = default_spec();
+    let manager = WorldManager::with_default(Arc::new(spec.build()), spec, 4);
+    let store = Arc::new(WorldStore::open(dir, manager.metrics()).expect("open data dir"));
+    Arc::new(manager.with_store(store).expect("attach store"))
 }
 
 fn counter(manager: &WorldManager, name: &str) -> u64 {
@@ -159,16 +137,7 @@ fn restarted_server_answers_bit_identically_from_snapshots() {
     let dir = fresh_dir();
 
     // ---- First life: durable server, two worlds, queries, checkpoint.
-    let spec = default_spec();
-    let manager = WorldManager::with_default(Arc::new(spec.build()), spec, 4);
-    let store = Arc::new(WorldStore::open(&dir, manager.metrics()).expect("open data dir"));
-    // Attaching the store WAL-logs the already-resident default world.
-    let manager = Arc::new(
-        manager
-            .with_store(Arc::clone(&store))
-            .expect("attach store"),
-    );
-    let (handle, join) = start(Arc::clone(&manager));
+    let (handle, join) = start(first_life(&dir));
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     let aux_generation = client.world_load("aux", aux_spec()).expect("load aux");
@@ -189,12 +158,15 @@ fn restarted_server_answers_bit_identically_from_snapshots() {
     join.join().expect("first server exits");
 
     // ---- Second life: recover the directory, restore in background.
-    let (manager2, _store2, recovery) = reboot(&dir, 4);
+    let (manager2, recovery) = reboot(&dir, 4);
     assert_eq!(recovery.worlds.len(), 2);
     // The checkpoint compacted the log: nothing left to replay.
     assert_eq!(recovery.wal_ops_replayed, 0);
-    wait_ready(&manager2, None);
-    wait_ready(&manager2, Some("aux"));
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while manager2.resolve(Some("aux")).is_err() {
+        assert!(Instant::now() < deadline, "aux never finished restoring");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     let (handle2, join2) = start(Arc::clone(&manager2));
     let mut client2 = Client::connect(handle2.addr()).expect("reconnect");
@@ -248,9 +220,9 @@ fn restarted_server_answers_bit_identically_from_snapshots() {
     let replayed: u64 = report
         .worlds
         .iter()
-        .filter_map(|w| w.metrics.counters.get("warm.replayed"))
+        .filter_map(|w| w.metrics.counters.get("snapshot.results_imported"))
         .sum();
-    assert!(replayed > 0, "no warm.replayed recorded: {report:?}");
+    assert!(replayed > 0, "no snapshot.results_imported: {report:?}");
     let restored = report
         .service
         .counters
@@ -298,9 +270,7 @@ fn restarted_server_answers_bit_identically_from_snapshots() {
 fn restore_evictions_survive_the_next_reboot() {
     let dir = fresh_dir();
     {
-        let manager = WorldManager::new(4);
-        let store = Arc::new(WorldStore::open(&dir, manager.metrics()).expect("open data dir"));
-        let manager = manager.with_store(store).expect("attach store");
+        let manager = first_life(&dir);
         for (seed, name) in (50..).zip(["a", "b", "c"]) {
             manager
                 .load(
@@ -314,9 +284,10 @@ fn restore_evictions_survive_the_next_reboot() {
         }
     }
 
-    // Budget 2: one of the three restores must evict (or be) a victim.
-    let (manager, _store, recovery) = reboot(&dir, 2);
-    assert_eq!(recovery.worlds.len(), 3);
+    // Budget 2: beside the pinned default, two of the three restores
+    // must evict (or be) a victim.
+    let (manager, recovery) = reboot(&dir, 2);
+    assert_eq!(recovery.worlds.len(), 4);
     let deadline = Instant::now() + Duration::from_secs(60);
     let resident: Vec<String> = loop {
         // Settled: nothing loading, every victim counted, and every
@@ -324,7 +295,7 @@ fn restore_evictions_survive_the_next_reboot() {
         let listed = manager.list();
         let evicted = counter(&manager, "tenancy.evict.lru");
         if listed.iter().all(|w| w.state == WorldState::Ready)
-            && listed.len() as u64 + evicted == 3
+            && listed.len() as u64 + evicted == 4
             && counter(&manager, "store.wal_append") == evicted
         {
             break listed.into_iter().map(|w| w.name).collect();
@@ -357,11 +328,7 @@ fn restore_evictions_survive_the_next_reboot() {
 #[test]
 fn old_format_snapshot_restores_cold() {
     let dir = fresh_dir();
-    let spec = default_spec();
-    let manager = WorldManager::with_default(Arc::new(spec.build()), spec, 4);
-    let store = Arc::new(WorldStore::open(&dir, manager.metrics()).expect("open data dir"));
-    let manager = Arc::new(manager.with_store(store).expect("attach store"));
-    let (handle, join) = start(manager);
+    let (handle, join) = start(first_life(&dir));
     let mut client = Client::connect(handle.addr()).expect("connect");
     let local: Vec<QueryRequest> = requests()
         .into_iter()
@@ -382,19 +349,20 @@ fn old_format_snapshot_restores_cold() {
     raw[4..8].copy_from_slice(&1u32.to_le_bytes());
     std::fs::write(&snap, &raw).expect("rewrite version");
 
-    let (manager2, store2, recovery) = reboot(&dir, 4);
+    let (manager2, recovery) = reboot(&dir, 4);
     let file = recovery.worlds["default"]
         .snapshot
         .clone()
         .expect("snapshot pointer");
-    let err = store2
+    let err = manager2
+        .store()
+        .expect("store attached")
         .load_snapshot(&file)
         .expect_err("v1 snapshot accepted");
     assert!(
         err.to_string().contains("unsupported format version 1"),
         "{err}"
     );
-    wait_ready(&manager2, None);
     let (handle2, join2) = start(Arc::clone(&manager2));
     let mut client2 = Client::connect(handle2.addr()).expect("reconnect");
     for (req, before) in local.iter().zip(&baseline) {
@@ -406,11 +374,27 @@ fn old_format_snapshot_restores_cold() {
     let replayed: u64 = report
         .worlds
         .iter()
-        .filter_map(|w| w.metrics.counters.get("warm.replayed"))
+        .filter_map(|w| w.metrics.counters.get("snapshot.results_imported"))
         .sum();
     assert_eq!(replayed, 0);
     drop(client2);
     handle2.shutdown();
     join2.join().expect("second server exits");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A drain started by a thread that holds no connection — the CLI's
+/// SIGTERM monitor — still finishes before `run()` returns, so a
+/// process that exits when `run()` does keeps its checkpoint.
+#[test]
+fn run_returns_only_after_a_drain_has_checkpointed() {
+    let dir = fresh_dir();
+    let (manager, _) = reboot(&dir, 4);
+    let (handle, join) = start(Arc::clone(&manager));
+    let drainer = std::thread::spawn(move || handle.drain().expect("drain"));
+    join.join().expect("server exits");
+    assert_eq!(counter(&manager, "drain.completed"), 1, "mid-drain");
+    assert!(dir.join("MANIFEST").exists());
+    assert_eq!(drainer.join().expect("drainer"), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
