@@ -11,14 +11,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The cardinality type of a binary relationship between entity sets.
 ///
 /// The paper folds `[1:1]` "into one of the latter two" (`[1:n]` or
 /// `[n:1]`); we keep it distinct because it composes losslessly on both
 /// sides, and fold it only where the theorem requires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Cardinality {
     /// Every left record relates to at most one right record and vice
     /// versa (a key–key cross-reference).

@@ -9,12 +9,10 @@
 //! cardinalities annotated there and the set-level confidences `ps`/`qs`
 //! used throughout the evaluation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Cardinality, ComposeHints, EntitySetId, RelationshipId, Schema};
 
 /// One row of the paper's source table.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SourceDecl {
     /// Source name as printed in the paper.
     pub name: &'static str,
@@ -333,7 +331,7 @@ pub fn biorank_schema_full() -> BiorankSchema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reducible::{check_query_reducible, check_reducible};
+    use crate::reducible::{check_query_reducible, check_reducible, Reducibility, Step};
 
     #[test]
     fn catalog_matches_paper_table() {
@@ -380,7 +378,35 @@ mod tests {
         // answer set. Our theory proves to be right and useful."
         let b = biorank_schema();
         let r = check_query_reducible(&b.schema, b.query, b.amigo, &b.hints);
-        assert!(r.is_reducible(), "got {r:?}");
+        let contract = |entity: &str, incoming: &str, outgoing: &str, composed| Step::Contract {
+            entity: entity.into(),
+            incoming: incoming.into(),
+            outgoing: outgoing.into(),
+            composed,
+        };
+        // The witness `fig1_schema` prints: lowest entity set id first.
+        let steps = vec![
+            contract("Pfam", "prot2pfam", "pfam2go", Cardinality::ManyToOne),
+            contract(
+                "TigrFam",
+                "prot2tigrfam",
+                "tigrfam2go",
+                Cardinality::ManyToOne,
+            ),
+            Step::MergeParallel {
+                left: "prot2pfam∘pfam2go".into(),
+                right: "prot2tigrfam∘tigrfam2go".into(),
+                merged: Cardinality::ManyToOne,
+            },
+            contract(
+                "NCBIBlast",
+                "prot2blast",
+                "blast2gene",
+                Cardinality::OneToMany,
+            ),
+            Step::TreeBase,
+        ];
+        assert_eq!(r, Reducibility::Reducible { steps });
     }
 
     #[test]

@@ -12,21 +12,19 @@
 
 use std::collections::BTreeMap;
 
-use biorank_graph::Prob;
-use serde::{Deserialize, Serialize};
-
 use crate::{Cardinality, Error};
+use biorank_graph::Prob;
 
 /// Index of an entity set within a [`Schema`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntitySetId(pub usize);
 
 /// Index of a relationship within a [`Schema`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RelationshipId(pub usize);
 
 /// Declaration of an entity set in the mediated schema.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EntitySetDef {
     /// Unique name, e.g. `"EntrezGene"`.
     pub name: String,
@@ -40,7 +38,7 @@ pub struct EntitySetDef {
 }
 
 /// Declaration of a binary relationship in the mediated schema.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RelationshipDef {
     /// Unique name, e.g. `"NCBIBlast1"`.
     pub name: String,
@@ -56,7 +54,7 @@ pub struct RelationshipDef {
 }
 
 /// A validated mediated schema: entity sets plus relationships.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Schema {
     entity_sets: Vec<EntitySetDef>,
     relationships: Vec<RelationshipDef>,

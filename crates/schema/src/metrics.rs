@@ -19,10 +19,8 @@ use std::fmt;
 use std::str::FromStr;
 
 use biorank_graph::Prob;
-use serde::{Deserialize, Serialize};
-
 /// EntrezGene curation status codes, ordered from most to least reliable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum StatusCode {
     Reviewed,
@@ -88,7 +86,7 @@ impl FromStr for StatusCode {
 }
 
 /// Gene Ontology evidence codes used by AmiGO annotations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum EvidenceCode {
     /// Inferred from Direct Assay — "very reliable".

@@ -14,10 +14,22 @@
 //!   knowledge*) to be `[1:n]` or `[n:1]` but not `[m:n]`, then `S` is
 //!   reducible iff the schema with `P` contracted is.
 //!
-//! The checker implements both parts with backtracking over the choice of
-//! `P` (the theorem's key insight is that *order of composition matters*,
-//! Fig. 3). It is sound but — like the theorem — not complete: `Unknown`
-//! means "the theorem does not apply", not "irreducible".
+//! Because Part B is an *iff*, contracting any eligible `P` keeps the
+//! verdict, so no choice of `P` ever needs revisiting. The checker is
+//! one rewriting loop: merge parallel relationships, then, until the
+//! Part A base case holds, contract the lowest-id eligible entity set
+//! and merge again. Each contraction removes a live entity set, so the
+//! loop ends. It is sound but — like the theorem — not complete:
+//! `Unknown` means "the theorem does not apply", not "irreducible".
+//!
+//! Order-independence rests on one convention: a compose hint names the
+//! composed *path*, not its bracketing. Composition is associative, so
+//! `x∘y∘z` is one relation whether it was built as `(x∘y)∘z` or
+//! `x∘(y∘z)`, and [`ComposeHints`] keys it by that name. Keyed by the
+//! `(left, right)` pair instead, a hint `("x", "y∘z")` on the chain
+//! `A –x[1:n]→ B –y[1:1]→ C –z[n:1]→ D` would be found only when `C` is
+//! contracted before `B`: contracting `B` first asks for `("x∘y", "z")`,
+//! misses, and leaves a reducible schema `Unknown`.
 //!
 //! [`check_query_reducible`] adds the observation from the efficiency
 //! study (§4, item 1): from the point of view of a **single answer
@@ -30,18 +42,19 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Cardinality, Composition, EntitySetId, Schema};
 
 /// Domain-knowledge hints resolving ambiguous `[1:n] ∘ [n:1]`
-/// compositions, keyed by the pair of relationship names.
+/// compositions, keyed by the name of the composed relationship.
 ///
 /// Composed relationships are named `"left∘right"` and merged parallel
-/// relationships `"left∥right"`, so hints can chain.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// relationships `"left∥right"`, so hints can chain. A hint names a
+/// path, not its bracketing: `declare("x", "y∘z", c)` and
+/// `declare("x∘y", "z", c)` declare the same relation `x∘y∘z`, and the
+/// later declaration wins.
+#[derive(Clone, Debug, Default)]
 pub struct ComposeHints {
-    map: BTreeMap<(String, String), Cardinality>,
+    map: BTreeMap<String, Cardinality>,
 }
 
 impl ComposeHints {
@@ -52,19 +65,17 @@ impl ComposeHints {
 
     /// Declares that `left ∘ right` has the given cardinality.
     pub fn declare(&mut self, left: &str, right: &str, card: Cardinality) -> &mut Self {
-        self.map.insert((left.to_string(), right.to_string()), card);
+        self.map.insert(format!("{left}∘{right}"), card);
         self
     }
 
-    fn lookup(&self, left: &str, right: &str) -> Option<Cardinality> {
-        self.map
-            .get(&(left.to_string(), right.to_string()))
-            .copied()
+    fn lookup(&self, composed: &str) -> Option<Cardinality> {
+        self.map.get(composed).copied()
     }
 }
 
 /// One step in a successful reducibility derivation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Step {
     /// The residual schema is a `[1:n]` tree, possibly with terminal
     /// per-target `[n:1]` relationships (Theorem 3.2 Part A).
@@ -92,7 +103,7 @@ pub enum Step {
 }
 
 /// Result of a reducibility check.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reducibility {
     /// The schema is reducible; `steps` is a derivation witness.
     Reducible {
@@ -102,7 +113,9 @@ pub enum Reducibility {
     /// Theorem 3.2 does not apply (instances may still happen to reduce,
     /// but no closed form is guaranteed).
     Unknown {
-        /// Entity sets remaining in the stuck residual view.
+        /// Entity sets of the view after the first parallel merges,
+        /// before any contraction. Where the loop got stuck depends on
+        /// the contraction order; this set does not.
         residual_entities: Vec<String>,
     },
 }
@@ -178,6 +191,13 @@ impl View {
         }
     }
 
+    fn live_entities(&self) -> Vec<String> {
+        (0..self.entities.len())
+            .filter(|&i| self.alive[i])
+            .map(|i| self.entities[i].clone())
+            .collect()
+    }
+
     fn live_rels(&self) -> impl Iterator<Item = usize> + '_ {
         self.rels
             .iter()
@@ -186,76 +206,51 @@ impl View {
             .map(|(i, _)| i)
     }
 
-    fn in_rels(&self, e: usize) -> Vec<usize> {
-        self.live_rels().filter(|&i| self.rels[i].to == e).collect()
+    /// The live relationship matching `pred`, if exactly one does.
+    fn sole_rel(&self, pred: impl Fn(&ViewRel) -> bool) -> Option<usize> {
+        let mut matching = self.live_rels().filter(|&i| pred(&self.rels[i]));
+        let first = matching.next()?;
+        matching.next().is_none().then_some(first)
     }
 
-    fn out_rels(&self, e: usize) -> Vec<usize> {
-        self.live_rels()
-            .filter(|&i| self.rels[i].from == e)
-            .collect()
-    }
-
-    /// Part A base case, extended for per-target mode.
+    /// Part A base case, extended for per-target mode, on a view known
+    /// to be acyclic.
     ///
-    /// The view must be an acyclic graph with exactly one root where
-    /// every non-root entity (other than the single target) has exactly
-    /// one incoming relationship, every relationship not entering the
-    /// single target is `[1:n]`/`[1:1]`, and relationships into the
-    /// single target may also be `[n:1]` (their data edges funnel into
-    /// one node and collapse by serial+parallel reduction).
+    /// The view must have exactly one root where every non-root entity
+    /// (other than the single target) has exactly one incoming
+    /// relationship, every relationship not entering the single target
+    /// is `[1:n]`/`[1:1]`, and relationships into the single target may
+    /// also be `[n:1]` (their data edges funnel into one node and
+    /// collapse by serial+parallel reduction).
     fn is_reducible_base(&self) -> bool {
-        let live: Vec<usize> = (0..self.entities.len())
-            .filter(|&i| self.alive[i])
-            .collect();
-        if live.is_empty() {
-            return false;
-        }
-        for i in self.live_rels() {
+        let cards_ok = self.live_rels().all(|i| {
             let r = &self.rels[i];
-            let into_target = self.single_target == Some(r.to);
-            let ok = match r.card {
+            match r.card {
                 Cardinality::OneToMany | Cardinality::OneToOne => true,
-                Cardinality::ManyToOne => into_target,
+                Cardinality::ManyToOne => self.single_target == Some(r.to),
                 Cardinality::ManyToMany => false,
-            };
-            if !ok {
-                return false;
             }
-        }
+        });
+        let indeg = self.in_degrees();
+        let live = || (0..self.entities.len()).filter(|&e| self.alive[e]);
+        let mut roots = live().filter(|&e| indeg[e] == 0);
+        let (Some(root), None) = (roots.next(), roots.next()) else {
+            return false;
+        };
+        cards_ok && live().all(|e| e == root || self.single_target == Some(e) || indeg[e] == 1)
+    }
+
+    fn in_degrees(&self) -> Vec<usize> {
         let mut indeg = vec![0usize; self.entities.len()];
         for i in self.live_rels() {
             indeg[self.rels[i].to] += 1;
         }
-        let roots: Vec<usize> = live.iter().copied().filter(|&e| indeg[e] == 0).collect();
-        if roots.len() != 1 {
-            return false;
-        }
-        let root = roots[0];
-        for &e in &live {
-            if e == root || self.single_target == Some(e) {
-                continue;
-            }
-            if indeg[e] != 1 {
-                return false;
-            }
-        }
-        self.is_acyclic()
+        indeg
     }
 
     fn is_acyclic(&self) -> bool {
         // Kahn over the live view.
-        let mut indeg = vec![0usize; self.entities.len()];
-        let mut live_count = 0usize;
-        for (i, &a) in self.alive.iter().enumerate() {
-            if a {
-                live_count += 1;
-                indeg[i] = 0;
-            }
-        }
-        for i in self.live_rels() {
-            indeg[self.rels[i].to] += 1;
-        }
+        let mut indeg = self.in_degrees();
         let mut queue: Vec<usize> = (0..self.entities.len())
             .filter(|&i| self.alive[i] && indeg[i] == 0)
             .collect();
@@ -271,45 +266,105 @@ impl View {
                 }
             }
         }
-        seen == live_count
+        seen == self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Merges one pair of parallel relationships (same from/to).
+    /// Merges parallel relationships (same from/to), one pair at a time,
+    /// until none are left, recording each merge in `steps`.
     ///
     /// The merged cardinality is `[n:1]` when both enter the single
     /// target (all data edges converge on one node and rule 3 merges
     /// them), `[m:n]` otherwise (conservative: unions of functional
     /// relations need not be functional).
-    fn merge_one_parallel(&mut self) -> Option<Step> {
-        let live: Vec<usize> = self.live_rels().collect();
-        for (ai, &a) in live.iter().enumerate() {
-            for &b in &live[ai + 1..] {
-                if self.rels[a].from == self.rels[b].from && self.rels[a].to == self.rels[b].to {
-                    let merged_card = if self.single_target == Some(self.rels[a].to) {
-                        Cardinality::ManyToOne
-                    } else {
-                        Cardinality::ManyToMany
-                    };
-                    let step = Step::MergeParallel {
-                        left: self.rels[a].name.clone(),
-                        right: self.rels[b].name.clone(),
-                        merged: merged_card,
-                    };
-                    let merged = ViewRel {
-                        name: format!("{}∥{}", self.rels[a].name, self.rels[b].name),
-                        from: self.rels[a].from,
-                        to: self.rels[a].to,
-                        card: merged_card,
-                        alive: true,
-                    };
-                    self.rels[a].alive = false;
-                    self.rels[b].alive = false;
-                    self.rels.push(merged);
-                    return Some(step);
-                }
-            }
+    fn merge_parallel(&mut self, steps: &mut Vec<Step>) {
+        while let Some((a, b)) = self.first_parallel_pair() {
+            let merged_card = if self.single_target == Some(self.rels[a].to) {
+                Cardinality::ManyToOne
+            } else {
+                Cardinality::ManyToMany
+            };
+            steps.push(Step::MergeParallel {
+                left: self.rels[a].name.clone(),
+                right: self.rels[b].name.clone(),
+                merged: merged_card,
+            });
+            let merged = ViewRel {
+                name: format!("{}∥{}", self.rels[a].name, self.rels[b].name),
+                from: self.rels[a].from,
+                to: self.rels[a].to,
+                card: merged_card,
+                alive: true,
+            };
+            self.rels[a].alive = false;
+            self.rels[b].alive = false;
+            self.rels.push(merged);
         }
-        None
+    }
+
+    fn first_parallel_pair(&self) -> Option<(usize, usize)> {
+        let live: Vec<usize> = self.live_rels().collect();
+        live.iter().enumerate().find_map(|(ai, &a)| {
+            live[ai + 1..]
+                .iter()
+                .find(|&&b| {
+                    self.rels[a].from == self.rels[b].from && self.rels[a].to == self.rels[b].to
+                })
+                .map(|&b| (a, b))
+        })
+    }
+
+    /// Contracts entity set `p` by Part B when it is eligible: its sole
+    /// incoming `Q` and sole outgoing `Q′` give way to one relationship
+    /// named `Q∘Q′`. Leaves the view untouched and returns `None` when
+    /// `p` is not eligible.
+    fn contract(&mut self, p: usize, hints: &ComposeHints) -> Option<Step> {
+        if !self.alive[p] || self.single_target == Some(p) {
+            return None;
+        }
+        let qi = self.sole_rel(|r| r.to == p)?;
+        let qo = self.sole_rel(|r| r.from == p)?;
+        let (q, q2) = (&self.rels[qi], &self.rels[qo]);
+        // Q must be [1:n] (or [1:1] as its sub-case), Q′ must be [n:1].
+        if !matches!(q.card, Cardinality::OneToMany | Cardinality::OneToOne)
+            || !q2.card.is_functional()
+        {
+            return None;
+        }
+        // A self-loop composition only arises on cyclic schemas — skip.
+        if q.from == q2.to {
+            return None;
+        }
+        let name = format!("{}∘{}", q.name, q2.name);
+        let composed = match q.card.compose(q2.card) {
+            Composition::Always(c) => c,
+            // Composite relation into one answer node: the data edges
+            // collapse to at most one per left record.
+            Composition::NeedsDomainKnowledge if self.single_target == Some(q2.to) => {
+                Cardinality::ManyToOne
+            }
+            Composition::NeedsDomainKnowledge => hints.lookup(&name)?,
+        };
+        if composed == Cardinality::ManyToMany {
+            return None; // Part B explicitly excludes [m:n] compositions.
+        }
+        let step = Step::Contract {
+            entity: self.entities[p].clone(),
+            incoming: q.name.clone(),
+            outgoing: q2.name.clone(),
+            composed,
+        };
+        let (from, to) = (q.from, q2.to);
+        self.rels[qi].alive = false;
+        self.rels[qo].alive = false;
+        self.alive[p] = false;
+        self.rels.push(ViewRel {
+            name,
+            from,
+            to,
+            card: composed,
+            alive: true,
+        });
+        Some(step)
     }
 }
 
@@ -333,103 +388,27 @@ pub fn check_query_reducible(
     run_check(view, hints)
 }
 
+/// Merges, then contracts the lowest-id eligible entity set and merges
+/// again until Part A holds. Part B's *iff* makes the first eligible
+/// entity set as good a choice as any other.
 fn run_check(mut view: View, hints: &ComposeHints) -> Reducibility {
     let mut steps = Vec::new();
-    while let Some(step) = view.merge_one_parallel() {
-        steps.push(step);
+    view.merge_parallel(&mut steps);
+    let residual_entities = view.live_entities();
+    // Contracting and merging map every cycle onto a cycle, so a cyclic
+    // view never reaches Part A and an acyclic one stays acyclic.
+    if !view.is_acyclic() {
+        return Reducibility::Unknown { residual_entities };
     }
-    match search(&view, hints, 0) {
-        Some(mut tail) => {
-            steps.append(&mut tail);
-            Reducibility::Reducible { steps }
-        }
-        None => Reducibility::Unknown {
-            residual_entities: (0..view.entities.len())
-                .filter(|&i| view.alive[i])
-                .map(|i| view.entities[i].clone())
-                .collect(),
-        },
-    }
-}
-
-const MAX_DEPTH: usize = 64;
-
-fn search(view: &View, hints: &ComposeHints, depth: usize) -> Option<Vec<Step>> {
-    if depth > MAX_DEPTH {
-        return None;
-    }
-    if view.is_reducible_base() {
-        return Some(vec![Step::TreeBase]);
-    }
-    // Part B: try every contractible entity set, backtracking.
-    let candidates: Vec<usize> = (0..view.entities.len())
-        .filter(|&e| view.alive[e] && view.single_target != Some(e))
-        .collect();
-    for p in candidates {
-        let ins = view.in_rels(p);
-        let outs = view.out_rels(p);
-        if ins.len() != 1 || outs.len() != 1 {
-            continue;
-        }
-        let (qi, qo) = (ins[0], outs[0]);
-        let cin = view.rels[qi].card;
-        let cout = view.rels[qo].card;
-        // Q must be [1:n] (or [1:1] as its sub-case), Q′ must be [n:1].
-        if !matches!(cin, Cardinality::OneToMany | Cardinality::OneToOne) {
-            continue;
-        }
-        if !matches!(cout, Cardinality::ManyToOne | Cardinality::OneToOne) {
-            continue;
-        }
-        let into_target = view.single_target == Some(view.rels[qo].to);
-        let composed = match cin.compose(cout) {
-            Composition::Always(c) => Some(c),
-            Composition::NeedsDomainKnowledge => {
-                if into_target {
-                    // Composite relation into one answer node: the data
-                    // edges collapse to at most one per left record.
-                    Some(Cardinality::ManyToOne)
-                } else {
-                    hints.lookup(&view.rels[qi].name, &view.rels[qo].name)
-                }
-            }
+    while !view.is_reducible_base() {
+        let Some(step) = (0..view.entities.len()).find_map(|p| view.contract(p, hints)) else {
+            return Reducibility::Unknown { residual_entities };
         };
-        let Some(composed) = composed else { continue };
-        if composed == Cardinality::ManyToMany {
-            continue; // Part B explicitly excludes [m:n] compositions.
-        }
-        // A self-loop composition only arises on cyclic schemas — skip.
-        if view.rels[qi].from == view.rels[qo].to {
-            continue;
-        }
-        let mut next = view.clone();
-        next.rels[qi].alive = false;
-        next.rels[qo].alive = false;
-        next.alive[p] = false;
-        next.rels.push(ViewRel {
-            name: format!("{}∘{}", view.rels[qi].name, view.rels[qo].name),
-            from: view.rels[qi].from,
-            to: view.rels[qo].to,
-            card: composed,
-            alive: true,
-        });
-        let mut merge_steps = Vec::new();
-        while let Some(s) = next.merge_one_parallel() {
-            merge_steps.push(s);
-        }
-        if let Some(tail) = search(&next, hints, depth + 1) {
-            let mut steps = vec![Step::Contract {
-                entity: view.entities[p].clone(),
-                incoming: view.rels[qi].name.clone(),
-                outgoing: view.rels[qo].name.clone(),
-                composed,
-            }];
-            steps.extend(merge_steps);
-            steps.extend(tail);
-            return Some(steps);
-        }
+        steps.push(step);
+        view.merge_parallel(&mut steps);
     }
-    None
+    steps.push(Step::TreeBase);
+    Reducibility::Reducible { steps }
 }
 
 #[cfg(test)]
@@ -456,9 +435,8 @@ mod tests {
         s.relationship("q45", ids[4], ids[5], OneToMany, 1.0)
             .unwrap();
         let mut hints = ComposeHints::none();
-        // Innermost compositions first (the theorem's key insight is
-        // that order matters); both resolve so that the residual chain
-        // ends as a [1:n] tree.
+        // Both inner compositions resolve, and so does the path they
+        // form, so that the residual chain ends as a [1:n] tree.
         hints.declare("q01", "q12", OneToMany);
         hints.declare("q23", "q34", ManyToOne);
         hints.declare("q01∘q12", "q23∘q34", OneToMany);
@@ -647,5 +625,218 @@ mod tests {
         s.relationship("ba", b, a, OneToMany, 1.0).unwrap();
         let r = check_reducible(&s, a, &ComposeHints::none());
         assert!(!r.is_reducible());
+    }
+
+    #[test]
+    fn a_hint_names_its_path_not_its_bracketing() {
+        // A –x[1:n]→ B –y[1:1]→ C –z[n:1]→ D. Contracting B first builds
+        // x∘y [1:n] and then needs a hint for x∘y∘z; contracting C first
+        // builds y∘z [n:1] and needs a hint for the same path. Either
+        // spelling of that hint must be found, whichever entity set the
+        // checker contracts first.
+        let mut s = Schema::new();
+        let ids: Vec<_> = ["A", "B", "C", "D"]
+            .iter()
+            .map(|name| s.entity(name, "x", &[], 1.0).unwrap())
+            .collect();
+        s.relationship("x", ids[0], ids[1], OneToMany, 1.0).unwrap();
+        s.relationship("y", ids[1], ids[2], OneToOne, 1.0).unwrap();
+        s.relationship("z", ids[2], ids[3], ManyToOne, 1.0).unwrap();
+        for (left, right) in [("x", "y∘z"), ("x∘y", "z")] {
+            let mut hints = ComposeHints::none();
+            hints.declare(left, right, OneToMany);
+            let r = check_reducible(&s, ids[0], &hints);
+            assert!(r.is_reducible(), "hint ({left}, {right}): got {r:?}");
+        }
+    }
+
+    /// The exhaustive reference: depth-first over every eligible
+    /// contraction, lowest id first, backtracking when a branch fails.
+    fn exhaustive(view: &View, hints: &ComposeHints) -> Option<Vec<Step>> {
+        if view.is_reducible_base() && view.is_acyclic() {
+            return Some(vec![Step::TreeBase]);
+        }
+        (0..view.entities.len()).find_map(|p| {
+            let mut next = view.clone();
+            let mut steps = vec![next.contract(p, hints)?];
+            next.merge_parallel(&mut steps);
+            steps.extend(exhaustive(&next, hints)?);
+            Some(steps)
+        })
+    }
+
+    fn oracle(
+        schema: &Schema,
+        root: EntitySetId,
+        target: Option<EntitySetId>,
+        hints: &ComposeHints,
+    ) -> Reducibility {
+        let mut view = View::from_schema(schema, root, target);
+        let mut steps = Vec::new();
+        view.merge_parallel(&mut steps);
+        match exhaustive(&view, hints) {
+            Some(tail) => {
+                steps.extend(tail);
+                Reducibility::Reducible { steps }
+            }
+            None => Reducibility::Unknown {
+                residual_entities: view.live_entities(),
+            },
+        }
+    }
+
+    /// SplitMix64, enough randomness for schema generation.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// One seeded schema, its check mode and hints, and the one-line
+    /// name that reproduces it.
+    struct Case {
+        name: String,
+        schema: Schema,
+        target: Option<EntitySetId>,
+        hints: ComposeHints,
+    }
+
+    /// A random schema of 2–9 entity sets rooted at `E0`: a spanning
+    /// tree of forward relationships, plus forward, parallel, back and
+    /// self relationships, all four cardinalities, and hints on base
+    /// pairs, on composed paths split at a random point and on merged
+    /// names.
+    fn random_case(seed: u64) -> Case {
+        let mut rng = Rng(seed);
+        let n = 2 + rng.below(8);
+        let mut schema = Schema::new();
+        let ids: Vec<_> = (0..n)
+            .map(|i| schema.entity(&format!("E{i}"), "x", &[], 1.0).unwrap())
+            .collect();
+        // Mostly a chain, so that Part B finds entity sets to contract.
+        let mut ends: Vec<(usize, usize)> = (1..n)
+            .map(|to| match rng.below(3) {
+                0 => (rng.below(to), to),
+                _ => (to - 1, to),
+            })
+            .collect();
+        for _ in 0..rng.below(4).saturating_sub(1) {
+            let (a, b) = (rng.below(n), rng.below(n));
+            ends.push(match rng.below(6) {
+                0 | 1 => (a.min(b), a.max(b)),        // forward (or self when equal)
+                2 | 3 => ends[rng.below(ends.len())], // parallel
+                4 => (a.max(b), a.min(b)),            // back
+                _ => (a, a),                          // self
+            });
+        }
+        let cards = [
+            OneToMany, OneToMany, OneToMany, ManyToOne, ManyToOne, ManyToOne, OneToOne, ManyToMany,
+        ];
+        let mut name = format!("seed={seed:#018x} n={n} rels=[");
+        for (k, &(from, to)) in ends.iter().enumerate() {
+            // Half the time alternate [1:n] and [n:1], the shape Part B contracts.
+            let card = match rng.below(2) {
+                0 => [OneToMany, ManyToOne][k % 2],
+                _ => cards[rng.below(cards.len())],
+            };
+            schema
+                .relationship(&format!("r{k}"), ids[from], ids[to], card, 1.0)
+                .unwrap();
+            name += &format!("r{k}:E{from}→E{to}{card} ");
+        }
+        // Whole schema, the last entity set (the usual answer set), or any.
+        let target = match rng.below(3) {
+            0 => None,
+            1 => Some(ids[n - 1]),
+            _ => Some(ids[rng.below(n)]),
+        };
+        name += &format!("] target={target:?} hints=[");
+        // A relationship name, or a merged name when it has a parallel twin.
+        let label = |k: usize, rng: &mut Rng| match (0..ends.len())
+            .find(|&j| j != k && ends[j] == ends[k])
+        {
+            Some(j) if rng.below(2) == 0 => format!("r{}∥r{}", k.min(j), k.max(j)),
+            _ => format!("r{k}"),
+        };
+        let mut hints = ComposeHints::none();
+        let hint_cards = [OneToMany, OneToMany, OneToMany, ManyToOne, ManyToMany];
+        // Each path of two to four adjacent relationships gets a hint
+        // with probability 2/3, split at a random point.
+        let mut open: Vec<Vec<usize>> = (0..ends.len()).map(|k| vec![k]).collect();
+        while let Some(path) = open.pop() {
+            let at = ends[*path.last().unwrap()].1;
+            if path.len() < 4 {
+                for j in (0..ends.len()).filter(|&j| ends[j].0 == at) {
+                    open.push([&path[..], &[j]].concat());
+                }
+            }
+            if path.len() < 2 || rng.below(3) == 0 {
+                continue;
+            }
+            let labels: Vec<String> = path.iter().map(|&k| label(k, &mut rng)).collect();
+            let (left, right) = labels.split_at(1 + rng.below(labels.len() - 1));
+            let (left, right) = (left.join("∘"), right.join("∘"));
+            let card = hint_cards[rng.below(hint_cards.len())];
+            hints.declare(&left, &right, card);
+            name += &format!("({left})({right}){card} ");
+        }
+        name.push(']');
+        Case {
+            name,
+            schema,
+            target,
+            hints,
+        }
+    }
+
+    #[test]
+    fn one_contraction_order_agrees_with_exhaustive_search() {
+        const CASES: usize = 20_000;
+        let mut seeds = Rng(0x7E02_3200);
+        let (mut reducible, mut multi_step, mut hint_decided) = (0, 0, 0);
+        for _ in 0..CASES {
+            let case = random_case(seeds.next());
+            let root = EntitySetId(0);
+            let check = |hints| match case.target {
+                Some(t) => check_query_reducible(&case.schema, root, t, hints),
+                None => check_reducible(&case.schema, root, hints),
+            };
+            let got = check(&case.hints);
+            let want = oracle(&case.schema, root, case.target, &case.hints);
+            assert_eq!(got, want, "{}", case.name);
+            if let Reducibility::Reducible { steps } = &got {
+                reducible += 1;
+                let contractions = steps
+                    .iter()
+                    .filter(|s| matches!(s, Step::Contract { .. }))
+                    .count();
+                multi_step += usize::from(contractions >= 2);
+                hint_decided += usize::from(!check(&ComposeHints::none()).is_reducible());
+            }
+        }
+        // The generator must keep exercising both verdicts, derivations
+        // of several contractions and verdicts that only hints decide.
+        assert!(
+            reducible > CASES / 10 && reducible < CASES / 2,
+            "{reducible} reducible"
+        );
+        assert!(
+            multi_step > 100,
+            "{multi_step} multi-contraction derivations"
+        );
+        assert!(
+            hint_decided > 300,
+            "{hint_decided} verdicts decided by hints"
+        );
     }
 }

@@ -1789,4 +1789,24 @@ mod tests {
         let q2 = ExploratoryQuery::new("A", "Bx", "v", ["O"]);
         assert_ne!(spec.effective_seed(&q1), spec.effective_seed(&q2));
     }
+
+    #[test]
+    fn protein_functions_schema_verdicts_the_planner_reads() {
+        use biorank_schema::{biorank_schema, biorank_schema_full, biorank_schema_with_ontology};
+        let query = ExploratoryQuery::protein_functions("ABCC8");
+        // The served schemas: AmiGO's go2go self-loop keeps the view
+        // cyclic, so Theorem 3.2 never applies.
+        for (name, b) in [
+            ("ontology", biorank_schema_with_ontology()),
+            ("full", biorank_schema_full()),
+        ] {
+            assert!(
+                !query_schema_reducible(&b.schema, &b.hints, &query),
+                "{name}"
+            );
+        }
+        // The plain Fig. 1 schema reduces per answer node.
+        let b = biorank_schema();
+        assert!(query_schema_reducible(&b.schema, &b.hints, &query));
+    }
 }
