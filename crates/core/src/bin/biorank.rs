@@ -81,10 +81,10 @@
 //!   --slow-query-micros N                 log queries at least this slow to
 //!                                         the in-memory slow-query ring
 //!                                         (default 10000)
-//!   --data-dir PATH                       durable world persistence: replay
-//!                                         the directory's manifest + admin
-//!                                         WAL on boot (warm restart from
-//!                                         snapshots), and WAL-log every
+//!   --data-dir PATH                       durable world persistence: read
+//!                                         the directory's manifest on boot
+//!                                         (warm restart from snapshots), and
+//!                                         rewrite it for every
 //!                                         world.load/swap/evict before
 //!                                         acknowledging it
 //!   --max-connections N                   concurrent-connection budget
@@ -126,9 +126,9 @@
 //!   world.save NAME                       write NAME's snapshot (spec + the
 //!                                         result cache) to the server's data
 //!                                         directory (serve --data-dir)
-//!   checkpoint                            snapshot every resident world,
-//!                                         rewrite the manifest, truncate the
-//!                                         WAL (log compaction)
+//!   checkpoint                            snapshot every resident world and
+//!                                         rewrite the manifest with their
+//!                                         snapshot pointers
 //!   world.list                            show the registry, including each
 //!                                         world's planner strategy mix
 //!                                         (exact/reduced/word/traversal picks)
@@ -719,10 +719,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         Some(dir) => {
             let boot =
                 WorldManager::open_durable(dir, spec, opts.worlds).map_err(|e| e.to_string())?;
-            println!(
-                "data dir {dir}: {} world(s) recovered, {} WAL record(s) replayed",
-                boot.restored, boot.recovery.wal_ops_replayed
-            );
+            println!("data dir {dir}: {} world(s) recovered", boot.restored);
             boot.manager
         }
         // Built via the same WorldSpec::build an admin world.load
@@ -873,7 +870,7 @@ fn cmd_admin(opts: &Options) -> Result<(), String> {
         }
         "checkpoint" => {
             let (worlds, bytes) = client.checkpoint().map_err(|e| e.to_string())?;
-            println!("checkpoint: {worlds} world(s) snapshotted ({bytes} bytes), WAL compacted");
+            println!("checkpoint: {worlds} world(s) snapshotted ({bytes} bytes)");
         }
         "server.drain" => {
             let worlds = client.drain().map_err(|e| e.to_string())?;

@@ -19,12 +19,11 @@ use biorank_graph::NodeId;
 use biorank_mediator::{ExploratoryQuery, IntegrationResult, Mediator};
 use biorank_schema::biorank_schema_with_ontology;
 use biorank_sources::{FunctionClass, GoTerm, ProteinKind, World};
-use serde::{Deserialize, Serialize};
 
 use crate::Error;
 
 /// The three scenarios.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scenario {
     /// 306 well-known functions, 20 well-studied proteins.
     WellKnown,

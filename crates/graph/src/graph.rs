@@ -11,18 +11,16 @@
 //! while holding ids to others. Use [`ProbGraph::compact`] to rebuild a
 //! dense graph after heavy reduction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{EdgeId, Error, NodeId, Prob};
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct NodeData {
     p: Prob,
     alive: bool,
     label: Box<str>,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct EdgeData {
     src: NodeId,
     dst: NodeId,
@@ -31,7 +29,7 @@ struct EdgeData {
 }
 
 /// A directed multigraph with node and edge presence probabilities.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ProbGraph {
     nodes: Vec<NodeData>,
     edges: Vec<EdgeData>,
@@ -151,13 +149,6 @@ impl ProbGraph {
         d.p
     }
 
-    /// Sets the presence probability of node `n`.
-    pub fn set_node_p(&mut self, n: NodeId, p: Prob) {
-        let d = &mut self.nodes[n.index()];
-        assert!(d.alive, "access to dead node {n}");
-        d.p = p;
-    }
-
     /// Label of node `n` (empty string when unlabeled).
     pub fn node_label(&self, n: NodeId) -> &str {
         &self.nodes[n.index()].label
@@ -168,13 +159,6 @@ impl ProbGraph {
         let d = &self.edges[e.index()];
         assert!(d.alive, "access to dead edge {e}");
         d.q
-    }
-
-    /// Sets the presence probability of edge `e`.
-    pub fn set_edge_q(&mut self, e: EdgeId, q: Prob) {
-        let d = &mut self.edges[e.index()];
-        assert!(d.alive, "access to dead edge {e}");
-        d.q = q;
     }
 
     /// Source node of edge `e`.
@@ -522,14 +506,11 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn compact_keeps_node_and_edge_counts() {
         let mut g = ProbGraph::new();
         let a = g.add_labeled_node(p(0.9), "x");
         let b = g.add_node(p(0.4));
         g.add_edge(a, b, p(0.25)).unwrap();
-        // serde is wired up mainly so downstream crates can snapshot
-        // worlds; check it via the bincode-free serde_test-less route of
-        // cloning through Debug equality on a compact round trip.
         let (h, _) = g.compact();
         assert_eq!(h.node_count(), g.node_count());
         assert_eq!(h.edge_count(), g.edge_count());

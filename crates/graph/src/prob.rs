@@ -12,13 +12,10 @@
 use std::fmt;
 use std::ops::Mul;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Error;
 
 /// A probability, guaranteed to be a finite `f64` in `[0, 1]`.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(try_from = "f64", into = "f64")]
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 pub struct Prob(f64);
 
 impl Prob {

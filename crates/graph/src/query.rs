@@ -6,21 +6,17 @@
 
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{csr::CsrGraph, reach, Error, NodeId, ProbGraph};
 
 /// A probabilistic entity graph with a query source node and answer set.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QueryGraph {
     graph: ProbGraph,
     source: NodeId,
     answers: Vec<NodeId>,
     /// Lazily built CSR snapshot of the live subgraph, shared by every
     /// estimator run against this query. Invalidated
-    /// by any mutation ([`QueryGraph::graph_mut`], [`QueryGraph::prune`]);
-    /// never serialized.
-    #[serde(skip)]
+    /// by any mutation ([`QueryGraph::graph_mut`], [`QueryGraph::prune`]).
     csr: OnceLock<Arc<CsrGraph>>,
 }
 
@@ -86,11 +82,6 @@ impl QueryGraph {
     /// The answer set `A`, in insertion order.
     pub fn answers(&self) -> &[NodeId] {
         &self.answers
-    }
-
-    /// Decomposes into `(graph, source, answers)`.
-    pub fn into_parts(self) -> (ProbGraph, NodeId, Vec<NodeId>) {
-        (self.graph, self.source, self.answers)
     }
 
     /// Removes every node not on a `source → answer` path.

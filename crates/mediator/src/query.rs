@@ -1,13 +1,11 @@
 //! The exploratory query type (paper Definition 2.2).
 
-use serde::{Deserialize, Serialize};
-
 /// An exploratory query `(P.attr = "value", {P1, …, Pn})`.
 ///
 /// BioRank's query interface replaced conjunctive queries because
 /// "biologists were not using such an interface effectively" — they
 /// needed exploration, not retrieval (§2).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ExploratoryQuery {
     /// The input entity set `P`.
     pub input: String,

@@ -84,11 +84,11 @@ impl Strategy {
     }
 }
 
-/// The constants of the planner's linear cost model, taken from the
-/// criterion rows recorded at commit `e6e637c` and the measured shapes
-/// of the bench graphs. They only have to order the strategies correctly
-/// (the rows differ by 5–200×), not predict a particular host's
-/// nanoseconds.
+/// The constants of the planner's linear cost model. They only have to
+/// order the strategies correctly (their costs differ by 5–200×), not
+/// predict a particular host's nanoseconds; e2ebench's
+/// `rank.planner_regret` (the picked strategy's time over the best
+/// forced one, on the default world's graphs) measures whether they do.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Traversal Monte Carlo: ns per trial per live edge. Seed: the
@@ -303,10 +303,9 @@ mod tests {
 
     #[test]
     fn word_wins_the_bench_graphs() {
-        // The seeded model must reproduce the ordering of the criterion
-        // rows recorded at commit `e6e637c` on all three bench graphs
-        // (word ~20× traversal, reduction not paying, exact ineligible
-        // under the ontology schema).
+        // The seeded model must order all three bench-graph shapes as
+        // their measured costs did (word ~20× traversal, reduction not
+        // paying, exact ineligible under the ontology schema).
         let m = CostModel::default();
         for (graph_f, label) in [
             (abcc8_features().graph, "abcc8"),

@@ -30,9 +30,9 @@
 //!   `checkpoint`, `world.list`, `stats`, `metrics`) drive the
 //!   registry over the same connection.
 //! * [`persist`] / [`WorldStore`] — durable world persistence: each
-//!   resident world snapshots to a checksummed container file, admin
-//!   ops append to a write-ahead log, and `serve --data-dir` replays
-//!   manifest + WAL on boot so a restarted server answers
+//!   resident world snapshots to a checksummed container file, each
+//!   admin op rewrites the manifest atomically, and `serve --data-dir`
+//!   reads the manifest on boot so a restarted server answers
 //!   bit-identically from its snapshots without a full rebuild.
 //!
 //! ```no_run

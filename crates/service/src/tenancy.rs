@@ -30,12 +30,13 @@
 //!   default world of `with_default` — goes through one private
 //!   install: under the registry lock it makes room, assigns a fresh
 //!   generation (a restore adopts its recorded one) and inserts;
-//!   outside the lock it counts, refreshes the gauges, then WAL-logs
-//!   every victim plus the op. So every LRU victim is counted on
-//!   `tenancy.evict.lru` and durable, restores included — a reboot
-//!   under a smaller budget never resurrects what it evicted, and a
-//!   restore that cannot fit at all is logged as evicted too. Both
-//!   background paths share one spawner and its panic guard.
+//!   outside the lock it counts, refreshes the gauges, then writes
+//!   every victim plus the op to the manifest in one durable write. So
+//!   every LRU victim is counted on `tenancy.evict.lru` and durable,
+//!   restores included — a reboot under a smaller budget never
+//!   resurrects what it evicted, and a restore that cannot fit at all
+//!   is recorded as evicted too. Both background paths share one
+//!   spawner and its panic guard.
 //!
 //! Generations are drawn from one registry-wide monotonic counter
 //! (assigned under the registry lock), so they survive eviction with
@@ -55,7 +56,7 @@ use biorank_obs::{MetricsRegistry, MetricsSnapshot, SlowQueryEntry};
 use biorank_rank::Strategy;
 use biorank_schema::{biorank_schema_full, biorank_schema_with_ontology};
 use biorank_sources::{World, WorldParams};
-use biorank_store::{Recovery, StoreError, WalOp, WorldStore};
+use biorank_store::{Manifest, ManifestEntry, Recovery, StoreError, WalOp, WorldStore};
 
 use crate::engine::{EngineStats, QueryEngine, DEFAULT_CACHE_CAPACITY};
 use crate::persist;
@@ -145,8 +146,8 @@ pub enum TenancyError {
     /// The default world cannot be evicted.
     DefaultPinned,
     /// The durability layer failed to record or restore an admin op
-    /// (WAL append, snapshot write/read). The in-memory registry may
-    /// be ahead of the log; the op itself completed.
+    /// (manifest write, snapshot write/read). The in-memory registry
+    /// may be ahead of the manifest; the op itself completed.
     Persist(String),
 }
 
@@ -177,6 +178,10 @@ impl fmt::Display for TenancyError {
 }
 
 impl std::error::Error for TenancyError {}
+
+fn persist_error(e: StoreError) -> TenancyError {
+    TenancyError::Persist(e.to_string())
+}
 
 /// Residency state of a world in a `world.list` snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -250,8 +255,8 @@ pub struct ServiceStats {
     /// Number of resident worlds.
     pub resident: usize,
     /// Whether a durable [`WorldStore`] backs this registry (`biorank
-    /// serve --data-dir`): admin ops are WAL-logged and worlds survive
-    /// a restart.
+    /// serve --data-dir`): admin ops are written to the manifest and
+    /// worlds survive a restart.
     pub durable: bool,
     /// Per-world counters, sorted by name.
     pub worlds: Vec<WorldStats>,
@@ -287,7 +292,7 @@ pub struct MetricsReport {
 pub struct DurableBoot {
     /// The store-backed registry, its default world resident.
     pub manager: Arc<WorldManager>,
-    /// The manifest + WAL replay the registry restores from.
+    /// The manifest state the registry restores from.
     pub recovery: Recovery,
     /// Recovered worlds handed to a restore: all of them, less a
     /// recovered default whose spec the caller replaced.
@@ -384,9 +389,9 @@ enum Install {
 }
 
 impl Install {
-    /// The counter and WAL op of an installed world. A restore has
-    /// neither: it was counted when claimed, and its op is already
-    /// durable.
+    /// The counter and manifest op of an installed world. A restore
+    /// has neither: it was counted when claimed, and it is already in
+    /// the manifest.
     fn record(
         self,
         world: &str,
@@ -430,10 +435,10 @@ pub struct WorldManager {
     /// registry so one `metrics` snapshot covers the whole service.
     metrics: Arc<MetricsRegistry>,
     /// Durable backing, when serving with `--data-dir`: every
-    /// acknowledged load/swap/evict is WAL-logged here **after** the
-    /// registry mutation and **before** the op returns, and
-    /// [`checkpoint`](WorldManager::checkpoint) compacts the log into
-    /// the manifest plus per-world snapshots.
+    /// acknowledged load/swap/evict is written to the manifest here
+    /// **after** the registry mutation and **before** the op returns,
+    /// and [`checkpoint`](WorldManager::checkpoint) adds per-world
+    /// snapshots and their pointers.
     store: Option<Arc<WorldStore>>,
 }
 
@@ -455,27 +460,25 @@ impl WorldManager {
     }
 
     /// Attaches a durable [`WorldStore`]: every subsequent
-    /// load/swap/evict is WAL-logged before it is acknowledged. Worlds
-    /// already resident (e.g. the default world of
-    /// [`with_default`](WorldManager::with_default)) are logged
-    /// immediately so they too survive a restart. A restore
-    /// ([`restore_background`](WorldManager::restore_background)) logs
-    /// only the evictions it causes — its own op is already in the
-    /// manifest or WAL.
+    /// load/swap/evict is written to the manifest before it is
+    /// acknowledged, and the worlds already resident (e.g. the default
+    /// world of [`with_default`](WorldManager::with_default)) are
+    /// written now, so they too survive a restart. A restore
+    /// ([`restore_background`](WorldManager::restore_background))
+    /// writes only the evictions it causes.
     pub fn with_store(mut self, store: Arc<WorldStore>) -> Result<Self, TenancyError> {
-        {
-            let reg = self.lock();
-            for (name, entry) in &reg.worlds {
-                store
-                    .append(&WalOp::Load {
-                        world: name.clone(),
-                        spec: persist::stored_spec(entry.spec),
-                        generation: entry.generation,
-                    })
-                    .map_err(|e| TenancyError::Persist(e.to_string()))?;
-            }
-        }
         self.store = Some(store);
+        let resident: Vec<WalOp> = self
+            .lock()
+            .worlds
+            .iter()
+            .map(|(name, entry)| WalOp::Load {
+                world: name.clone(),
+                spec: persist::stored_spec(entry.spec),
+                generation: entry.generation,
+            })
+            .collect();
+        self.log_ops(&resident)?;
         Ok(self)
     }
 
@@ -497,29 +500,22 @@ impl WorldManager {
         self.registry.lock().expect("world registry")
     }
 
-    /// WAL-logs evictions plus an optional final op, fsync'd, after
-    /// the registry mutation they describe. A failure surfaces as
-    /// [`TenancyError::Persist`]: the in-memory op stands (a restart
-    /// simply won't know about it), the caller's ack carries the
-    /// error.
-    fn log_ops(&self, victims: &[String], op: Option<WalOp>) -> Result<(), TenancyError> {
-        let Some(store) = &self.store else {
+    /// Writes `ops` to the manifest in one durable write, after the
+    /// registry mutation they describe, then drops each evicted world's
+    /// snapshot; with no store or no ops it writes nothing. A failure
+    /// surfaces as [`TenancyError::Persist`]: the in-memory op stands,
+    /// the caller's ack carries the error.
+    fn log_ops(&self, ops: &[WalOp]) -> Result<(), TenancyError> {
+        let Some(store) = self.store.as_ref().filter(|_| !ops.is_empty()) else {
             return Ok(());
         };
-        for victim in victims {
-            store
-                .append(&WalOp::Evict {
-                    world: victim.clone(),
-                })
-                .map_err(|e| TenancyError::Persist(e.to_string()))?;
-            // Best-effort: a stale snapshot is also guarded against at
-            // import time by the spec check.
-            let _ = store.remove_snapshot(victim);
-        }
-        if let Some(op) = op {
-            store
-                .append(&op)
-                .map_err(|e| TenancyError::Persist(e.to_string()))?;
+        store.apply(ops).map_err(persist_error)?;
+        for op in ops {
+            if let WalOp::Evict { world } = op {
+                // Best-effort: a stale snapshot is also guarded against
+                // at import time by the spec check.
+                let _ = store.remove_snapshot(world);
+            }
         }
         Ok(())
     }
@@ -667,7 +663,7 @@ impl WorldManager {
             match built {
                 Ok(engine) if claimed && !reg.worlds.contains_key(&name) => {
                     // No admin connection waits on a background
-                    // install, so a WAL failure surfaces as telemetry.
+                    // install, so a failed write surfaces as telemetry.
                     if let Err(TenancyError::Persist(_)) =
                         mgr.install(reg, &name, spec, Arc::new(engine), how)
                     {
@@ -687,9 +683,10 @@ impl WorldManager {
     /// lock (`reg`, taken by the caller after its own checks): make
     /// room, then assign a fresh generation or adopt a restore's
     /// recorded one, then insert. Outside it: counters and gauges,
-    /// then WAL-log every victim plus the op, if there is one. A
-    /// restore that cannot fit is its own victim — evicted on arrival
-    /// and logged as such, so the next boot does not bring it back.
+    /// then write every victim plus the op, if there is one, to the
+    /// manifest at once. A restore that cannot fit is its own victim —
+    /// evicted on arrival and recorded as such, so the next boot does
+    /// not bring it back.
     /// Returns the installed generation.
     fn install(
         &self,
@@ -738,7 +735,8 @@ impl WorldManager {
                 .add(victims.len() as u64);
         }
         self.update_residency_gauges(resident, loading);
-        self.log_ops(&victims, record.map(|(_, op)| op))?;
+        let evicts = victims.into_iter().map(|world| WalOp::Evict { world });
+        self.log_ops(&evicts.chain(record.map(|(_, op)| op)).collect::<Vec<_>>())?;
         generation.ok_or(TenancyError::BudgetExhausted(self.budget))
     }
 
@@ -771,7 +769,9 @@ impl WorldManager {
             drop(reg);
             self.metrics.counter("tenancy.evict").inc();
             self.update_residency_gauges(resident, loading);
-            self.log_ops(std::slice::from_ref(&name.to_string()), None)?;
+            self.log_ops(&[WalOp::Evict {
+                world: name.to_string(),
+            }])?;
             return Ok(());
         }
         Err(TenancyError::WorldNotFound(name.to_string()))
@@ -798,18 +798,15 @@ impl WorldManager {
         // Export and write outside the registry lock: a snapshot of a
         // busy world must not stall resolves on other worlds.
         let payload = persist::export_snapshot(&engine, spec);
-        let (_file, bytes) = store
-            .save_snapshot(name, &payload)
-            .map_err(|e| TenancyError::Persist(e.to_string()))?;
+        let (_file, bytes) = store.save_snapshot(name, &payload).map_err(persist_error)?;
         Ok((generation, bytes))
     }
 
-    /// `checkpoint`: snapshots every resident world, rewrites the
-    /// manifest to the current registry state (with snapshot
-    /// pointers), and truncates the WAL — log compaction. A restart
-    /// after a checkpoint replays zero WAL records and reloads every
-    /// world from its snapshot. Returns `(worlds, total snapshot
-    /// bytes)`. Requires an attached store.
+    /// `checkpoint`: snapshots every resident world and rewrites the
+    /// manifest to the current registry state, with snapshot
+    /// pointers. A restart after a checkpoint reloads every world from
+    /// its snapshot. Returns `(worlds, total snapshot bytes)`.
+    /// Requires an attached store.
     pub fn checkpoint(&self) -> Result<(usize, u64), TenancyError> {
         let store = self.require_store()?;
         let (worlds, next_generation) = {
@@ -824,43 +821,38 @@ impl WorldManager {
             (worlds, reg.next_generation + 1)
         };
         let mut total_bytes = 0u64;
-        let mut entries = Vec::with_capacity(worlds.len());
-        for (name, spec, generation, engine) in &worlds {
-            let payload = persist::export_snapshot(engine, *spec);
-            let (file, bytes) = store
-                .save_snapshot(name, &payload)
-                .map_err(|e| TenancyError::Persist(e.to_string()))?;
-            total_bytes += bytes;
-            entries.push((name.clone(), *spec, *generation, Some(file)));
-        }
-        let mut manifest = WorldStore::manifest_from_worlds(
+        let mut manifest = Manifest {
             next_generation,
-            entries.iter().map(|(name, spec, generation, file)| {
-                (
-                    name.as_str(),
-                    persist::stored_spec(*spec),
-                    *generation,
-                    file.clone(),
-                )
-            }),
-        );
-        store
-            .checkpoint(&mut manifest)
-            .map_err(|e| TenancyError::Persist(e.to_string()))?;
-        Ok((worlds.len(), total_bytes))
+            ..Manifest::default()
+        };
+        for (name, spec, generation, engine) in worlds {
+            let payload = persist::export_snapshot(&engine, spec);
+            let (file, bytes) = store
+                .save_snapshot(&name, &payload)
+                .map_err(persist_error)?;
+            total_bytes += bytes;
+            let entry = ManifestEntry {
+                spec: persist::stored_spec(spec),
+                generation,
+                snapshot: Some(file),
+            };
+            manifest.worlds.insert(name, entry);
+        }
+        store.checkpoint(&manifest).map_err(persist_error)?;
+        Ok((manifest.worlds.len(), total_bytes))
     }
 
     /// Warm-restart install: rebuilds a recovered world on a detached
     /// worker thread under its **recorded** generation (no counter
-    /// bump, no WAL append of its own — the op being replayed is
-    /// already durable), then replays the snapshot payload's result
+    /// bump, no manifest write of its own — it is already recorded),
+    /// then replays the snapshot payload's result
     /// entries into the fresh engine so it answers bit-identically
     /// from its first request. A payload whose embedded spec
     /// mismatches `spec` is skipped (cold caches) — the stale-snapshot
     /// guard. The world lists as `loading` until installed, exactly
     /// like a background load, and installs like one: the worlds it
     /// evicts — or the world itself, when nothing is evictable — are
-    /// counted and WAL-logged.
+    /// counted and written to the manifest.
     pub fn restore_background(
         self: &Arc<Self>,
         name: &str,
@@ -897,7 +889,7 @@ impl WorldManager {
     }
 
     /// The durable boot behind `biorank serve --data-dir`: opens (or
-    /// creates) `dir`, replays its manifest + admin WAL, attaches the
+    /// creates) `dir`, reads its manifest, attaches the
     /// store, raises the generation floor, and restores every
     /// recovered world in the background — warm from its snapshot
     /// when that loads, cold when it does not. `default` is the
@@ -1161,8 +1153,8 @@ mod tests {
     }
 
     /// A recovered world with no room — every resident world pinned —
-    /// is evicted on arrival, counted, and WAL-logged, so the next
-    /// boot does not bring it back.
+    /// is evicted on arrival, counted, and written to the manifest, so
+    /// the next boot does not bring it back.
     #[test]
     fn restore_that_cannot_fit_is_logged_as_an_eviction() {
         let dir =
@@ -1182,10 +1174,10 @@ mod tests {
         let mgr = Arc::new(mgr.with_store(Arc::clone(&store)).expect("attach"));
         mgr.restore_background("aux", tiny(1), 7, None)
             .expect("claim");
-        // with_store logged the default world; the discard is the
-        // second append.
+        // with_store wrote the default world; the discard is the
+        // second write.
         for _ in 0..600 {
-            if mgr.metrics().counter("store.wal_append").get() == 2 {
+            if mgr.metrics().counter("store.manifest_write").get() == 2 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -1195,6 +1187,32 @@ mod tests {
         assert_eq!(names, vec![DEFAULT_WORLD.to_string()]);
         let recovered = store.recover().expect("recover");
         assert!(!recovered.worlds.contains_key("aux"), "{recovered:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A load that evicts several worlds is one durable transition:
+    /// the victims and the load reach the manifest in one write.
+    #[test]
+    fn a_load_and_all_its_victims_are_one_manifest_write() {
+        let dir =
+            std::env::temp_dir().join(format!("biorank-tenancy-victims-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut mgr = WorldManager::new(3);
+        for (seed, name) in (1..).zip(["a", "b", "c"]) {
+            mgr.load(name, tiny(seed)).expect("load");
+        }
+        mgr.budget = 2; // under three resident: the next load evicts two
+        let store = WorldStore::open(&dir, mgr.metrics()).expect("open store");
+        let mgr = mgr.with_store(Arc::new(store)).expect("attach");
+        let writes = || mgr.metrics().counter("store.manifest_write").get();
+        assert_eq!(writes(), 1, "three resident worlds, one write");
+        mgr.load("d", tiny(4)).expect("load d");
+        assert_eq!(mgr.metrics().counter("tenancy.evict.lru").get(), 2);
+        assert_eq!(writes(), 2, "a load and its two victims, one write");
+        let on_disk = WorldStore::open(&dir, &MetricsRegistry::new())
+            .and_then(|s| s.recover())
+            .expect("reopen");
+        assert_eq!(on_disk.worlds.into_keys().collect::<Vec<_>>(), ["c", "d"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

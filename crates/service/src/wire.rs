@@ -537,8 +537,8 @@ pub enum AdminRequest {
         /// Registry name.
         world: String,
     },
-    /// `checkpoint` — snapshot every resident world, rewrite the
-    /// manifest, and truncate the admin WAL (requires `--data-dir`).
+    /// `checkpoint` — snapshot every resident world and rewrite the
+    /// manifest with their snapshot pointers (requires `--data-dir`).
     Checkpoint,
     /// `world.list` — snapshot the registry.
     List,
@@ -584,8 +584,8 @@ pub enum AdminResponse {
         /// On-disk size of the snapshot container, in bytes.
         snapshot_bytes: u64,
     },
-    /// Outcome of `checkpoint`: the manifest was rewritten and the
-    /// WAL truncated.
+    /// Outcome of `checkpoint`: the snapshots were written and the
+    /// manifest rewritten.
     Checkpoint {
         /// Resident worlds snapshotted.
         worlds: usize,

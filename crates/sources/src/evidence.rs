@@ -26,10 +26,9 @@
 use biorank_schema::{EvidenceCode, StatusCode};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Truth status of a candidate function for a protein.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FunctionClass {
     /// Curated in iProClass — the scenario-1 relevant set.
     WellKnown,
@@ -60,7 +59,7 @@ pub enum PathKind {
 }
 
 /// Mixing weights over [`PathKind`]s.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct KindWeights {
     /// Weight of [`PathKind::GeneDirect`].
     pub gene_direct: f64,
@@ -95,7 +94,7 @@ impl KindWeights {
 }
 
 /// Evidence profile of one function class.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClassProfile {
     /// Inclusive range of independent evidence paths per function.
     pub paths: (usize, usize),
@@ -154,7 +153,7 @@ impl ClassProfile {
 }
 
 /// The full generative model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EvidenceModel {
     /// Scenario-1 relevant functions.
     pub well_known: ClassProfile,

@@ -11,10 +11,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A GO term identifier, e.g. `GO:0008281`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GoTerm(pub u32);
 
 impl fmt::Display for GoTerm {
@@ -32,7 +30,7 @@ impl GoTerm {
 }
 
 /// The set of GO terms known to a generated world, with display names.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct GoUniverse {
     names: BTreeMap<GoTerm, String>,
 }

@@ -16,10 +16,9 @@
 use std::collections::BTreeMap;
 
 use biorank_graph::Prob;
-use serde::{Deserialize, Serialize};
 
 /// A record exported by a source, identified by `(entity_set, key)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Record {
     /// The entity set this record belongs to (schema name).
     pub entity_set: String,
@@ -60,7 +59,7 @@ impl Record {
 }
 
 /// A record-level relationship instance.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Link {
     /// Schema relationship name (e.g. `"prot2blast"`).
     pub relationship: String,

@@ -20,13 +20,12 @@ use std::collections::BTreeMap;
 
 use biorank_graph::Prob;
 use biorank_schema::{evalue_to_prob, EvidenceCode, StatusCode};
-use serde::{Deserialize, Serialize};
 
 use crate::go::{GoTerm, GoUniverse};
 use crate::source::{Link, Record, Source};
 
 /// `EntrezProtein(name, seq)`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EntrezProteinSource {
     /// name → amino-acid sequence.
     pub records: BTreeMap<String, String>,
@@ -65,7 +64,7 @@ impl Source for EntrezProteinSource {
 }
 
 /// One sequence-similarity hit of a protein against a family database.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FamilyHit {
     /// Family accession, e.g. `PF00005`.
     pub family: String,
@@ -74,7 +73,7 @@ pub struct FamilyHit {
 }
 
 /// A protein-family database (Pfam or TIGRFAM).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FamilySource {
     /// `"Pfam"` or `"TigrFam"` — also the entity-set name.
     pub entity_set: String,
@@ -160,7 +159,7 @@ impl Source for FamilySource {
 }
 
 /// One BLAST hit: a similar sequence and the gene it belongs to.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BlastHit {
     /// Hit record key (the `seq2` side of `NCBIBlast1`).
     pub hit_key: String,
@@ -171,7 +170,7 @@ pub struct BlastHit {
 }
 
 /// The NCBIBlast computed source.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct BlastSource {
     /// protein name → hits.
     pub hits: BTreeMap<String, Vec<BlastHit>>,
@@ -245,7 +244,7 @@ impl Source for BlastSource {
 }
 
 /// A curated gene record.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GeneRecord {
     /// Curation status, transformed to `pr` via the §2 table.
     pub status: StatusCode,
@@ -254,7 +253,7 @@ pub struct GeneRecord {
 }
 
 /// `EntrezGene(idEG, StatusCode, idGO)`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EntrezGeneSource {
     /// idEG → record.
     pub records: BTreeMap<String, GeneRecord>,
@@ -307,7 +306,7 @@ impl Source for EntrezGeneSource {
 /// AmiGO: GO-term records carrying evidence codes, plus the ontology's
 /// own `is_a` term–term links (the Gene Ontology is a DAG; evidence for
 /// a specific term also supports its more general ancestors).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AmigoSource {
     /// term → evidence code of its annotation.
     pub evidence: BTreeMap<GoTerm, EvidenceCode>,
@@ -369,7 +368,7 @@ impl Source for AmigoSource {
 /// record, which carries a curated foreign key to its EntrezGene entry —
 /// an independent, certain corroboration channel for gene-direct
 /// annotations.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct UniProtSource {
     /// protein name → (uniprot accession, idEG).
     pub records: BTreeMap<String, (String, String)>,
@@ -438,7 +437,7 @@ impl Source for UniProtSource {
 /// zero relationships — its records are informational leaves, which the
 /// reduction engine prunes from every query graph (they never reach an
 /// answer).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PdbSource {
     /// protein name → structure ids.
     pub structures: BTreeMap<String, Vec<String>>,
@@ -489,7 +488,7 @@ impl Source for PdbSource {
 }
 
 /// iProClass: the curated gold standard used for relevance judgments.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct IproclassSource {
     /// protein → its well-known functions.
     pub gold: BTreeMap<String, Vec<GoTerm>>,

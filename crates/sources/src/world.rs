@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 use biorank_schema::prob_to_evalue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::evidence::{EvidenceModel, FunctionClass, PathKind};
 use crate::go::{GoTerm, GoUniverse};
@@ -27,7 +26,7 @@ use crate::tables::{
 };
 
 /// Whether a protein is experimentally characterized.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProteinKind {
     /// One of the 20 iProClass reference proteins (scenarios 1–2).
     WellStudied,
@@ -36,7 +35,7 @@ pub enum ProteinKind {
 }
 
 /// Ground truth for one protein.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProteinProfile {
     /// Gene/protein symbol.
     pub name: String,
@@ -59,7 +58,7 @@ impl ProteinProfile {
 }
 
 /// Generation parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorldParams {
     /// Master seed; equal seeds produce equal worlds.
     pub seed: u64,
@@ -85,7 +84,7 @@ impl Default for WorldParams {
 }
 
 /// A fully generated world: ground truth plus all source tables.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct World {
     /// Parameters the world was generated from.
     pub params: WorldParams,

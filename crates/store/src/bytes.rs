@@ -1,7 +1,6 @@
 //! Little-endian byte-buffer primitives shared by every persisted
-//! encoding. The workspace's `vendor/serde` is a no-op marker stand-in
-//! (the container builds offline), so all snapshot/WAL payloads are
-//! hand-rolled through these two types instead of derive codegen.
+//! encoding: the manifest and snapshot payloads are hand-rolled
+//! through these two types.
 
 use crate::StoreError;
 
@@ -58,16 +57,6 @@ impl Writer {
     /// Consumes the writer, returning the encoded buffer.
     pub fn into_inner(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Current encoded length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -150,26 +139,14 @@ impl<'a> Reader<'a> {
             .map_err(|_| StoreError::Corrupt("invalid UTF-8 string".into()))
     }
 
-    /// Bytes left unread.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Whether the cursor has consumed the whole buffer.
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
     /// Fails unless the buffer was consumed exactly — trailing bytes
     /// in a checksummed payload mean an encoder/decoder mismatch.
     pub fn finish(self) -> crate::Result<()> {
-        if self.is_empty() {
-            Ok(())
-        } else {
-            Err(StoreError::Corrupt(format!(
-                "{} trailing bytes after payload",
-                self.remaining()
-            )))
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(StoreError::Corrupt(format!(
+                "{n} trailing bytes after payload"
+            ))),
         }
     }
 }

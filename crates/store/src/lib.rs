@@ -1,15 +1,15 @@
 //! # biorank-store
 //!
 //! Durable world persistence for the BioRank serving layer: versioned,
-//! checksummed binary snapshots of resident worlds, a directory
-//! manifest of what is resident, and an append-only admin write-ahead
-//! log so a `biorank serve --data-dir` restart comes back warm instead
-//! of rebuilding every world from scratch.
+//! checksummed binary snapshots of resident worlds and a directory
+//! manifest of what is resident, rewritten whole on every admin op, so
+//! a `biorank serve --data-dir` restart comes back warm instead of
+//! rebuilding every world from scratch.
 //!
 //! Like the rest of the workspace this crate is dependency-free by
-//! design (the container builds offline; `vendor/serde` is a marker
-//! stand-in with no codegen), so all encodings are hand-rolled
-//! little-endian binary with an [XXH64](xxh::xxh64) integrity checksum.
+//! design (the container builds offline), so all encodings are
+//! hand-rolled little-endian binary ([`Writer`]/[`Reader`]) with an
+//! [XXH64](xxh::xxh64) integrity checksum.
 //!
 //! ## On-disk layout
 //!
@@ -18,53 +18,37 @@
 //! ```text
 //! <data-dir>/
 //!   MANIFEST            container file, magic "BRMF" — resident-world manifest
-//!   wal.log             append-only framed record log of admin ops
 //!   <world>.snap        container file, magic "BRSN" — per-world snapshot payload
 //! ```
 //!
 //! World names are percent-escaped ([`escape_name`]) to form safe
-//! snapshot file names.
+//! snapshot file names. A `wal.log` left by an older release is
+//! removed at open when empty and refused when not.
 //!
-//! ## Container file format
+//! ## Container files
 //!
-//! Every container file ([`write_container`]/[`read_container`]) is:
+//! Both kinds are checksummed, versioned container files
+//! ([`write_container`]/[`read_container`]; the layout is in
+//! [`container`]), written atomically: temp file, fsync, rename,
+//! directory fsync. A reader accepts only its kind's current version,
+//! so an old snapshot is refused by name and its world restores cold;
+//! any other damage is reported as [`StoreError::Corrupt`].
 //!
-//! ```text
-//! [magic: 4 bytes][version: u32 LE][len: u64 LE][xxh64(payload): u64 LE][payload: len bytes]
-//! ```
+//! ## Durability of admin ops
 //!
-//! The version is per file kind: the manifest is at 1, snapshots at 2
-//! (version 1 snapshots also carried the graph cache, which a snapshot
-//! no longer holds). A reader accepts only its kind's current version,
-//! so an old snapshot is refused by name — its world restores cold.
-//!
-//! Containers are written atomically: payload goes to `<name>.tmp`,
-//! the file is fsync'd, renamed over the target, and the directory is
-//! fsync'd — a crash mid-write never leaves a torn container behind.
-//! A bad magic, unknown version, short file, or checksum mismatch is
-//! reported as [`StoreError::Corrupt`].
-//!
-//! ## WAL record format
-//!
-//! The WAL (`wal.log`) is a sequence of self-delimiting records:
-//!
-//! ```text
-//! [len: u32 LE][xxh64(payload): u64 LE][payload: len bytes]
-//! ```
-//!
-//! each payload being one encoded [`WalOp`]. Appends are fsync'd
-//! before the admin op is acknowledged. Replay
-//! ([`WorldStore::recover`]) stops at the first torn or
-//! checksum-failing record, so a crash mid-append loses at most the
-//! unacknowledged tail — never previously acknowledged ops.
-//! [`WorldStore::checkpoint`] compacts the log: it atomically rewrites
-//! the manifest to the current registry state and truncates the WAL.
+//! [`WorldStore::open`] reads the manifest once. Each acknowledged
+//! admin transition — a load or swap together with its LRU victims,
+//! an evict, a checkpoint — folds its [`WalOp`]s into that in-memory
+//! manifest and rewrites the whole file through the atomic container
+//! writer ([`WorldStore::apply`]) before the ack goes out. A crash
+//! leaves the manifest before or after the transition, never between
+//! its ops, and recovery ([`WorldStore::recover`]) reads it back.
 //!
 //! ## Telemetry
 //!
 //! Store operations publish `store.{snapshot_write,snapshot_load,`
-//! `wal_append,wal_replay,checkpoint}` counters plus
-//! `store.snapshot_bytes` / `store.load_ns` histograms into the
+//! `manifest_write}` counters plus `store.snapshot_bytes` /
+//! `store.load_ns` histograms into the
 //! [`MetricsRegistry`](biorank_obs::MetricsRegistry) handed to
 //! [`WorldStore::open`], so persistence activity shows up in the same
 //! `metrics` admin op as the query path.
@@ -76,14 +60,12 @@ pub mod bytes;
 pub mod container;
 pub mod manifest;
 pub mod store;
-pub mod wal;
 pub mod xxh;
 
 pub use bytes::{Reader, Writer};
 pub use container::{read_container, write_container, FileKind};
-pub use manifest::{Manifest, ManifestEntry, StoredSpec};
-pub use store::{escape_name, RecoveredWorld, Recovery, WorldStore, MANIFEST_FILE, WAL_FILE};
-pub use wal::WalOp;
+pub use manifest::{Manifest, ManifestEntry, StoredSpec, WalOp};
+pub use store::{escape_name, RecoveredWorld, Recovery, WorldStore, MANIFEST_FILE};
 pub use xxh::xxh64;
 
 use std::fmt;

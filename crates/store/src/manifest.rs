@@ -1,8 +1,10 @@
-//! The resident-world manifest: the compacted, authoritative record of
-//! which worlds a data directory holds, their specs and generations,
-//! and which snapshot file (if any) backs each one. The WAL is a delta
-//! on top of the most recent manifest; [`crate::WorldStore::recover`]
-//! folds the two back together.
+//! The resident-world manifest: the one authoritative record of which
+//! worlds a data directory holds, their specs and generations, and
+//! which snapshot file (if any) backs each one. Every admin op
+//! ([`WalOp`]) folds into it with [`Manifest::apply`], and
+//! [`crate::WorldStore`] rewrites the whole file after each batch.
+
+use std::collections::BTreeMap;
 
 use crate::bytes::{Reader, Writer};
 
@@ -35,27 +37,55 @@ impl StoredSpec {
     }
 }
 
+/// One admin operation on the registry, folded into the manifest by
+/// [`Manifest::apply`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WalOp {
+    /// A world was loaded under `generation`.
+    Load {
+        /// Registry key.
+        world: String,
+        /// Build spec.
+        spec: StoredSpec,
+        /// Generation assigned at install.
+        generation: u64,
+    },
+    /// A world was swapped to a new spec under `generation`.
+    Swap {
+        /// Registry key.
+        world: String,
+        /// The replacement spec.
+        spec: StoredSpec,
+        /// Generation assigned at install.
+        generation: u64,
+    },
+    /// A world was evicted (explicitly or by LRU pressure).
+    Evict {
+        /// Registry key.
+        world: String,
+    },
+}
+
 /// One resident world in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
-    /// World name (registry key).
-    pub name: String,
     /// The spec the world was built from.
     pub spec: StoredSpec,
-    /// The generation counter the world held when recorded.
+    /// The generation the world held when recorded.
     pub generation: u64,
     /// Snapshot file name inside the data directory, if one was saved.
     pub snapshot: Option<String>,
 }
 
 /// The decoded manifest: the next generation to hand out plus every
-/// resident world, sorted by name for stable round trips.
+/// resident world by name. A map, so the encoding is independent of
+/// the order worlds were recorded in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
     /// The registry's next unassigned generation counter.
     pub next_generation: u64,
-    /// Resident worlds.
-    pub worlds: Vec<ManifestEntry>,
+    /// Resident worlds by name.
+    pub worlds: BTreeMap<String, ManifestEntry>,
 }
 
 impl Manifest {
@@ -64,8 +94,8 @@ impl Manifest {
         let mut w = Writer::new();
         w.u64(self.next_generation);
         w.u64(self.worlds.len() as u64);
-        for entry in &self.worlds {
-            w.str(&entry.name);
+        for (name, entry) in &self.worlds {
+            w.str(name);
             entry.spec.encode(&mut w);
             w.u64(entry.generation);
             match &entry.snapshot {
@@ -84,18 +114,15 @@ impl Manifest {
         let mut r = Reader::new(payload);
         let next_generation = r.u64()?;
         let count = r.u64()?;
-        let mut worlds = Vec::new();
+        let mut worlds = BTreeMap::new();
         for _ in 0..count {
             let name = r.str()?;
-            let spec = StoredSpec::decode(&mut r)?;
-            let generation = r.u64()?;
-            let snapshot = if r.bool()? { Some(r.str()?) } else { None };
-            worlds.push(ManifestEntry {
-                name,
-                spec,
-                generation,
-                snapshot,
-            });
+            let entry = ManifestEntry {
+                spec: StoredSpec::decode(&mut r)?,
+                generation: r.u64()?,
+                snapshot: if r.bool()? { Some(r.str()?) } else { None },
+            };
+            worlds.insert(name, entry);
         }
         r.finish()?;
         Ok(Self {
@@ -104,10 +131,33 @@ impl Manifest {
         })
     }
 
-    /// Sorts entries by world name — called before encoding so byte
-    /// output is independent of registry iteration order.
-    pub fn normalize(&mut self) {
-        self.worlds.sort_by(|a, b| a.name.cmp(&b.name));
+    /// Folds one op into the manifest. A load or swap records the
+    /// world without a snapshot pointer: the spec may have changed, so
+    /// the loader must find and verify the file afresh.
+    pub fn apply(&mut self, op: &WalOp) {
+        match op {
+            WalOp::Load {
+                world,
+                spec,
+                generation,
+            }
+            | WalOp::Swap {
+                world,
+                spec,
+                generation,
+            } => {
+                self.next_generation = self.next_generation.max(generation + 1);
+                let entry = ManifestEntry {
+                    spec: *spec,
+                    generation: *generation,
+                    snapshot: None,
+                };
+                self.worlds.insert(world.clone(), entry);
+            }
+            WalOp::Evict { world } => {
+                self.worlds.remove(world);
+            }
+        }
     }
 }
 
@@ -116,30 +166,25 @@ mod tests {
     use super::*;
 
     fn sample() -> Manifest {
+        let entry =
+            |seed, extended, cache_capacity, generation, snapshot: Option<&str>| ManifestEntry {
+                spec: StoredSpec {
+                    seed,
+                    extended,
+                    cache_capacity,
+                },
+                generation,
+                snapshot: snapshot.map(Into::into),
+            };
         Manifest {
             next_generation: 9,
-            worlds: vec![
-                ManifestEntry {
-                    name: "default".into(),
-                    spec: StoredSpec {
-                        seed: 0xB10_C0DE,
-                        extended: true,
-                        cache_capacity: 512,
-                    },
-                    generation: 1,
-                    snapshot: Some("default.snap".into()),
-                },
-                ManifestEntry {
-                    name: "staging/w2".into(),
-                    spec: StoredSpec {
-                        seed: 42,
-                        extended: false,
-                        cache_capacity: 0,
-                    },
-                    generation: 8,
-                    snapshot: None,
-                },
-            ],
+            worlds: BTreeMap::from([
+                (
+                    "default".into(),
+                    entry(0xB10_C0DE, true, 512, 1, Some("default.snap")),
+                ),
+                ("staging/w2".into(), entry(42, false, 0, 8, None)),
+            ]),
         }
     }
 
@@ -155,14 +200,14 @@ mod tests {
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
     }
 
+    /// Worlds recorded in any order encode to the same bytes.
     #[test]
     fn normalize_is_stable() {
-        let mut a = sample();
-        a.worlds.reverse();
-        a.normalize();
-        let mut b = sample();
-        b.normalize();
-        assert_eq!(a.encode(), b.encode());
+        let reversed = Manifest {
+            next_generation: 9,
+            worlds: sample().worlds.into_iter().rev().collect(),
+        };
+        assert_eq!(reversed.encode(), sample().encode());
     }
 
     #[test]

@@ -1,25 +1,27 @@
-//! [`WorldStore`] — the directory-level durability manager gluing the
-//! pieces together: manifest + WAL recovery on open, fsync'd WAL
-//! appends, checkpoint compaction, and per-world snapshot files.
+//! [`WorldStore`] — the directory-level durability manager: the
+//! manifest, loaded once at open and rewritten whole after every
+//! batch of admin ops, plus per-world snapshot files.
 
-use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use biorank_obs::{Counter, Histogram, MetricsRegistry};
 
 use crate::container::{read_container, write_container, FileKind};
-use crate::manifest::{Manifest, ManifestEntry, StoredSpec};
-use crate::wal::{frame_record, replay_records, WalOp};
+use crate::manifest::{Manifest, ManifestEntry, WalOp};
 use crate::StoreError;
 
 /// Manifest file name inside a data directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-/// WAL file name inside a data directory.
-pub const WAL_FILE: &str = "wal.log";
+
+/// What [`WorldStore::recover`] returns: the manifest, with snapshot
+/// pointers re-attached.
+pub type Recovery = Manifest;
+
+/// One world of a [`Recovery`].
+pub type RecoveredWorld = ManifestEntry;
 
 /// Percent-escapes a world name into a filesystem-safe snapshot stem:
 /// ASCII alphanumerics plus `.`, `_`, `-` pass through, everything
@@ -36,213 +38,114 @@ pub fn escape_name(name: &str) -> String {
     out
 }
 
-/// The effective state recovered from a data directory: the manifest
-/// with the surviving WAL suffix folded in.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Recovery {
-    /// Next generation the registry should hand out.
-    pub next_generation: u64,
-    /// Resident worlds by name, with the generation each held and the
-    /// snapshot file (if any) recorded for it at the last checkpoint.
-    pub worlds: BTreeMap<String, RecoveredWorld>,
-    /// How many WAL records were replayed on top of the manifest.
-    pub wal_ops_replayed: usize,
+fn snapshot_file(world: &str) -> String {
+    format!("{}.snap", escape_name(world))
 }
 
-/// One world recovered from manifest + WAL.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredWorld {
-    /// Build spec to reconstruct the world from.
-    pub spec: StoredSpec,
-    /// The generation the world held pre-crash.
-    pub generation: u64,
-    /// Snapshot file name, when a checkpoint saved one for this spec.
-    pub snapshot: Option<String>,
-}
-
-struct StoreMetrics {
+/// A durable world store rooted at one data directory.
+#[derive(Debug)]
+pub struct WorldStore {
+    dir: PathBuf,
+    /// The manifest as last written (or as an unwritten fold after a
+    /// failed write). Its lock is held across each whole-file write,
+    /// so two writers never share `MANIFEST.tmp`.
+    manifest: Mutex<Manifest>,
+    manifest_write: Arc<Counter>,
     snapshot_write: Arc<Counter>,
     snapshot_load: Arc<Counter>,
-    wal_append: Arc<Counter>,
-    wal_replay: Arc<Counter>,
-    checkpoint: Arc<Counter>,
     snapshot_bytes: Arc<Histogram>,
     load_ns: Arc<Histogram>,
 }
 
-impl StoreMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        Self {
-            snapshot_write: registry.counter("store.snapshot_write"),
-            snapshot_load: registry.counter("store.snapshot_load"),
-            wal_append: registry.counter("store.wal_append"),
-            wal_replay: registry.counter("store.wal_replay"),
-            checkpoint: registry.counter("store.checkpoint"),
-            snapshot_bytes: registry.histogram("store.snapshot_bytes"),
-            load_ns: registry.histogram("store.load_ns"),
-        }
-    }
-}
-
-/// A durable world store rooted at one data directory.
-pub struct WorldStore {
-    dir: PathBuf,
-    wal: Mutex<File>,
-    metrics: StoreMetrics,
-}
-
-impl std::fmt::Debug for WorldStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorldStore")
-            .field("dir", &self.dir)
-            .finish()
-    }
-}
-
 impl WorldStore {
-    /// Opens (creating if needed) a data directory, and opens the WAL
-    /// for appending. Persistence telemetry is published into
+    /// Opens (creating if needed) a data directory and reads its
+    /// manifest, if any; a leftover `MANIFEST.tmp` (a crash before its
+    /// rename) is ignored. Persistence telemetry is published into
     /// `registry` under `store.*` names.
     pub fn open(dir: impl Into<PathBuf>, registry: &MetricsRegistry) -> crate::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let wal = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(dir.join(WAL_FILE))?;
+        retire_legacy_wal(&dir)?;
+        let manifest = match read_container(&dir.join(MANIFEST_FILE), FileKind::Manifest) {
+            Ok(payload) => Manifest::decode(&payload)?,
+            Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                Manifest::default()
+            }
+            Err(e) => return Err(e),
+        };
         Ok(Self {
             dir,
-            wal: Mutex::new(wal),
-            metrics: StoreMetrics::new(registry),
+            manifest: Mutex::new(manifest),
+            manifest_write: registry.counter("store.manifest_write"),
+            snapshot_write: registry.counter("store.snapshot_write"),
+            snapshot_load: registry.counter("store.snapshot_load"),
+            snapshot_bytes: registry.histogram("store.snapshot_bytes"),
+            load_ns: registry.histogram("store.load_ns"),
         })
     }
 
-    /// The data directory this store manages.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Recovers the effective registry state: loads the manifest (if
-    /// any), then folds in every surviving WAL record. A torn WAL
-    /// tail truncates silently — those ops were never acknowledged.
+    /// The registry state the manifest records. A world without a
+    /// recorded snapshot gets its own `<escaped name>.snap` when that
+    /// file exists: a `world.save` after its last load or swap wrote
+    /// it, and the loader verifies its spec before trusting it.
     pub fn recover(&self) -> crate::Result<Recovery> {
-        let manifest_path = self.dir.join(MANIFEST_FILE);
-        let manifest = if manifest_path.exists() {
-            Manifest::decode(&read_container(&manifest_path, FileKind::Manifest)?)?
-        } else {
-            Manifest::default()
-        };
-
-        let mut worlds: BTreeMap<String, RecoveredWorld> = BTreeMap::new();
-        let mut next_generation = manifest.next_generation;
-        for entry in manifest.worlds {
-            worlds.insert(
-                entry.name,
-                RecoveredWorld {
-                    spec: entry.spec,
-                    generation: entry.generation,
-                    snapshot: entry.snapshot,
-                },
-            );
-        }
-
-        let raw = {
-            // Hold the WAL lock across the read so recovery never
-            // races a concurrent append into seeing half a record.
-            let _wal = self.wal.lock().unwrap();
-            let mut raw = Vec::new();
-            File::open(self.dir.join(WAL_FILE))?.read_to_end(&mut raw)?;
-            raw
-        };
-        let ops = replay_records(&raw);
-        self.metrics.wal_replay.add(ops.len() as u64);
-        let replayed = ops.len();
-        for op in ops {
-            match op {
-                WalOp::Load {
-                    world,
-                    spec,
-                    generation,
-                }
-                | WalOp::Swap {
-                    world,
-                    spec,
-                    generation,
-                } => {
-                    next_generation = next_generation.max(generation + 1);
-                    worlds.insert(
-                        world,
-                        RecoveredWorld {
-                            spec,
-                            generation,
-                            // Any snapshot on disk predates this op's
-                            // spec change only if the spec differs;
-                            // keep the pointer and let the loader
-                            // verify the spec before trusting it.
-                            snapshot: None,
-                        },
-                    );
-                }
-                WalOp::Evict { world } => {
-                    worlds.remove(&world);
-                }
-            }
-        }
-        // Re-attach snapshot pointers for worlds whose file exists and
-        // was not invalidated by a later spec change above.
-        for (name, world) in worlds.iter_mut() {
+        let mut recovery = self.lock().clone();
+        for (name, world) in &mut recovery.worlds {
             if world.snapshot.is_none() {
-                let file = format!("{}.snap", escape_name(name));
-                if self.dir.join(&file).exists() {
-                    world.snapshot = Some(file);
-                }
+                let file = snapshot_file(name);
+                world.snapshot = self.dir.join(&file).exists().then_some(file);
             }
         }
-        Ok(Recovery {
-            next_generation,
-            worlds,
-            wal_ops_replayed: replayed,
-        })
+        Ok(recovery)
     }
 
-    /// Appends one admin op to the WAL and fsyncs before returning.
-    /// Callers acknowledge the op to the client only after this
-    /// succeeds.
+    /// Folds `ops` into the manifest and writes it whole, atomically
+    /// and fsync'd: a crash leaves the state before the batch or after
+    /// it. Callers acknowledge the ops only after this succeeds; after
+    /// a failed write the ops stay folded in memory for the next one.
+    pub fn apply(&self, ops: &[WalOp]) -> crate::Result<()> {
+        let mut manifest = self.lock();
+        for op in ops {
+            manifest.apply(op);
+        }
+        self.write(&manifest)
+    }
+
+    /// [`apply`](WorldStore::apply) of one op.
     pub fn append(&self, op: &WalOp) -> crate::Result<()> {
-        let record = frame_record(op);
-        let mut wal = self.wal.lock().unwrap();
-        wal.write_all(&record)?;
-        wal.sync_data()?;
-        self.metrics.wal_append.inc();
-        Ok(())
+        self.apply(std::slice::from_ref(op))
     }
 
-    /// Checkpoints the registry state: writes `manifest` atomically,
-    /// then truncates the WAL (its ops are now folded into the
-    /// manifest). Crash ordering is safe at every point — before the
-    /// manifest rename the old manifest + full WAL reconstruct the
-    /// same state; after it the WAL is redundant until truncated.
-    pub fn checkpoint(&self, manifest: &mut Manifest) -> crate::Result<()> {
-        manifest.normalize();
+    /// Replaces the manifest with `manifest` (snapshot pointers
+    /// included) and writes it like [`apply`](WorldStore::apply) does.
+    pub fn checkpoint(&self, manifest: &Manifest) -> crate::Result<()> {
+        let mut current = self.lock();
+        current.clone_from(manifest);
+        self.write(&current)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Manifest> {
+        self.manifest.lock().expect("store manifest")
+    }
+
+    /// The one manifest write, under the manifest lock.
+    fn write(&self, manifest: &Manifest) -> crate::Result<()> {
         write_container(
             &self.dir.join(MANIFEST_FILE),
             FileKind::Manifest,
             &manifest.encode(),
         )?;
-        let wal = self.wal.lock().unwrap();
-        wal.set_len(0)?;
-        wal.sync_data()?;
-        self.metrics.checkpoint.inc();
+        self.manifest_write.inc();
         Ok(())
     }
 
     /// Writes a world snapshot payload atomically, returning the
     /// snapshot file name (manifest-relative) and its size in bytes.
     pub fn save_snapshot(&self, world: &str, payload: &[u8]) -> crate::Result<(String, u64)> {
-        let file = format!("{}.snap", escape_name(world));
+        let file = snapshot_file(world);
         let bytes = write_container(&self.dir.join(&file), FileKind::Snapshot, payload)?;
-        self.metrics.snapshot_write.inc();
-        self.metrics.snapshot_bytes.record(bytes);
+        self.snapshot_write.inc();
+        self.snapshot_bytes.record(bytes);
         Ok((file, bytes))
     }
 
@@ -250,10 +153,8 @@ impl WorldStore {
     pub fn load_snapshot(&self, file: &str) -> crate::Result<Vec<u8>> {
         let start = Instant::now();
         let payload = read_container(&self.dir.join(file), FileKind::Snapshot)?;
-        self.metrics.snapshot_load.inc();
-        self.metrics
-            .load_ns
-            .record(start.elapsed().as_nanos() as u64);
+        self.snapshot_load.inc();
+        self.load_ns.record(start.elapsed().as_nanos() as u64);
         Ok(payload)
     }
 
@@ -261,39 +162,36 @@ impl WorldStore {
     /// evict so a later world under the same name cannot resurrect
     /// stale cached results.
     pub fn remove_snapshot(&self, world: &str) -> crate::Result<()> {
-        let path = self.dir.join(format!("{}.snap", escape_name(world)));
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(StoreError::Io(e)),
+        match fs::remove_file(self.dir.join(snapshot_file(world))) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(StoreError::Io(e)),
+            _ => Ok(()),
         }
     }
+}
 
-    /// Builds a manifest from recovered or live registry state.
-    pub fn manifest_from_worlds<'a>(
-        next_generation: u64,
-        worlds: impl IntoIterator<Item = (&'a str, StoredSpec, u64, Option<String>)>,
-    ) -> Manifest {
-        let mut manifest = Manifest {
-            next_generation,
-            worlds: worlds
-                .into_iter()
-                .map(|(name, spec, generation, snapshot)| ManifestEntry {
-                    name: name.to_string(),
-                    spec,
-                    generation,
-                    snapshot,
-                })
-                .collect(),
-        };
-        manifest.normalize();
-        manifest
+/// Removes an empty `wal.log`, the admin log of older releases, and
+/// refuses a non-empty one: its ops are acknowledged but in no
+/// manifest, and only the release that wrote it can fold them in.
+fn retire_legacy_wal(dir: &Path) -> crate::Result<()> {
+    let path = dir.join("wal.log");
+    match fs::metadata(&path) {
+        Ok(meta) if meta.len() == 0 => Ok(fs::remove_file(&path)?),
+        Ok(meta) => Err(StoreError::Corrupt(format!(
+            "{}: {} bytes of admin log from an older release; checkpoint it with \
+             the previous binary (`biorank admin checkpoint`, or stop that server \
+             with SIGTERM), then reopen",
+            path.display(),
+            meta.len()
+        ))),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e.into()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StoredSpec;
 
     fn registry() -> MetricsRegistry {
         MetricsRegistry::new()
@@ -310,6 +208,27 @@ mod tests {
             seed,
             extended: false,
             cache_capacity: 8,
+        }
+    }
+
+    fn load(world: &str, seed: u64, generation: u64) -> WalOp {
+        WalOp::Load {
+            world: world.into(),
+            spec: spec(seed),
+            generation,
+        }
+    }
+
+    /// A one-world manifest, as a checkpoint records it.
+    fn checkpointed(next_generation: u64, seed: u64, snapshot: &str) -> Manifest {
+        let entry = ManifestEntry {
+            spec: spec(seed),
+            generation: 1,
+            snapshot: Some(snapshot.into()),
+        };
+        Manifest {
+            next_generation,
+            worlds: [("default".to_string(), entry)].into(),
         }
     }
 
@@ -332,10 +251,10 @@ mod tests {
     #[test]
     fn fresh_directory_recovers_empty() {
         let dir = tmpdir("fresh");
-        let reg = registry();
-        let store = WorldStore::open(&dir, &reg).unwrap();
-        let rec = store.recover().unwrap();
-        assert_eq!(rec, Recovery::default());
+        let store = WorldStore::open(&dir, &registry()).unwrap();
+        assert_eq!(store.recover().unwrap(), Recovery::default());
+        // Opening writes nothing: the first op writes the manifest.
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -345,30 +264,42 @@ mod tests {
         let reg = registry();
         {
             let store = WorldStore::open(&dir, &reg).unwrap();
-            store
-                .append(&WalOp::Load {
-                    world: "default".into(),
-                    spec: spec(1),
-                    generation: 1,
-                })
-                .unwrap();
-            store
-                .append(&WalOp::Load {
-                    world: "w2".into(),
-                    spec: spec(2),
-                    generation: 2,
-                })
-                .unwrap();
+            store.append(&load("default", 1, 1)).unwrap();
+            store.append(&load("w2", 2, 2)).unwrap();
             store.append(&WalOp::Evict { world: "w2".into() }).unwrap();
         }
-        let store = WorldStore::open(&dir, &reg).unwrap();
-        let rec = store.recover().unwrap();
-        assert_eq!(rec.wal_ops_replayed, 3);
+        let rec = WorldStore::open(&dir, &reg).unwrap().recover().unwrap();
         assert_eq!(rec.next_generation, 3);
         assert_eq!(rec.worlds.len(), 1);
         assert_eq!(rec.worlds["default"].spec, spec(1));
         assert_eq!(rec.worlds["default"].generation, 1);
-        assert_eq!(reg.snapshot().counters["store.wal_replay"], 3);
+        assert_eq!(reg.snapshot().counters["store.manifest_write"], 3);
+        assert!(!dir.join("wal.log").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash inside an op's manifest write leaves the previous
+    /// manifest beside a torn `MANIFEST.tmp`; reopening recovers every
+    /// acknowledged op and loses only the one whose write never landed.
+    #[test]
+    fn torn_wal_tail_loses_only_unacked_op() {
+        let dir = tmpdir("torn");
+        let reg = registry();
+        let store = WorldStore::open(&dir, &reg).unwrap();
+        store.append(&load("default", 1, 1)).unwrap();
+        store.append(&load("w2", 2, 2)).unwrap();
+        let acked = fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        store.append(&load("w3", 3, 3)).unwrap();
+        let unacked = fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        // Roll the directory back to a crash five bytes short of the
+        // third write's end, before its rename.
+        fs::write(dir.join(MANIFEST_FILE), &acked).unwrap();
+        let tmp = dir.join(MANIFEST_FILE).with_extension("tmp");
+        fs::write(&tmp, &unacked[..unacked.len() - 5]).unwrap();
+        let rec = WorldStore::open(&dir, &reg).unwrap().recover().unwrap();
+        assert_eq!(rec.next_generation, 3);
+        assert_eq!(rec.worlds.keys().collect::<Vec<_>>(), ["default", "w2"]);
+        assert_eq!(rec.worlds["w2"].spec, spec(2));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -377,30 +308,18 @@ mod tests {
         let dir = tmpdir("ckpt");
         let reg = registry();
         let store = WorldStore::open(&dir, &reg).unwrap();
+        store.append(&load("gone", 7, 1)).unwrap();
         store
-            .append(&WalOp::Load {
-                world: "default".into(),
-                spec: spec(7),
-                generation: 1,
-            })
+            .checkpoint(&checkpointed(2, 7, "missing.snap"))
             .unwrap();
-        let mut manifest = WorldStore::manifest_from_worlds(
-            2,
-            [("default", spec(7), 1, Some("default.snap".to_string()))],
-        );
-        store.checkpoint(&mut manifest).unwrap();
-        assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
-
-        let rec = store.recover().unwrap();
-        assert_eq!(rec.wal_ops_replayed, 0);
+        // The checkpoint replaced the manifest, its pointer included,
+        // though no snapshot file was written.
+        let rec = WorldStore::open(&dir, &reg).unwrap().recover().unwrap();
         assert_eq!(rec.next_generation, 2);
-        assert_eq!(rec.worlds["default"].generation, 1);
-        // Snapshot pointer survives in the manifest even though the
-        // file itself was never written in this test.
-        assert_eq!(
-            rec.worlds["default"].snapshot.as_deref(),
-            Some("default.snap")
-        );
+        assert_eq!(rec.worlds.keys().collect::<Vec<_>>(), ["default"]);
+        let pointer = rec.worlds["default"].snapshot.as_deref();
+        assert_eq!(pointer, Some("missing.snap"));
+        assert_eq!(reg.snapshot().counters["store.manifest_write"], 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -409,11 +328,9 @@ mod tests {
         let dir = tmpdir("stale");
         let reg = registry();
         let store = WorldStore::open(&dir, &reg).unwrap();
-        let mut manifest = WorldStore::manifest_from_worlds(
-            2,
-            [("default", spec(7), 1, Some("missing.snap".to_string()))],
-        );
-        store.checkpoint(&mut manifest).unwrap();
+        store
+            .checkpoint(&checkpointed(2, 7, "missing.snap"))
+            .unwrap();
         // A post-checkpoint swap changes the spec; the old snapshot
         // pointer must not survive (and the file doesn't exist).
         store
@@ -453,34 +370,32 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// An older release's admin log: empty (checkpointed or drained)
+    /// it is removed at open; with records in it the open is refused
+    /// by name and the manifest beside it stays byte-for-byte.
     #[test]
-    fn torn_wal_tail_loses_only_unacked_op() {
-        let dir = tmpdir("torn");
+    fn an_empty_legacy_wal_is_removed_and_a_full_one_refused() {
+        let dir = tmpdir("legacy");
         let reg = registry();
-        let store = WorldStore::open(&dir, &reg).unwrap();
-        store
-            .append(&WalOp::Load {
-                world: "default".into(),
-                spec: spec(1),
-                generation: 1,
-            })
+        WorldStore::open(&dir, &reg)
+            .unwrap()
+            .checkpoint(&checkpointed(2, 7, "default.snap"))
             .unwrap();
-        store
-            .append(&WalOp::Load {
-                world: "w2".into(),
-                spec: spec(2),
-                generation: 2,
-            })
-            .unwrap();
-        // Simulate a crash mid-append: chop bytes off the tail.
-        let wal_path = dir.join(WAL_FILE);
-        let raw = fs::read(&wal_path).unwrap();
-        fs::write(&wal_path, &raw[..raw.len() - 5]).unwrap();
-        let store = WorldStore::open(&dir, &reg).unwrap();
-        let rec = store.recover().unwrap();
-        assert_eq!(rec.wal_ops_replayed, 1);
-        assert!(rec.worlds.contains_key("default"));
-        assert!(!rec.worlds.contains_key("w2"));
+        let manifest = fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        let wal = dir.join("wal.log");
+
+        fs::write(&wal, b"").unwrap();
+        let rec = WorldStore::open(&dir, &reg).unwrap().recover().unwrap();
+        assert!(!wal.exists(), "an empty wal.log outlived the open");
+        assert_eq!(rec.worlds["default"].spec, spec(7));
+
+        fs::write(&wal, [0u8; 29]).unwrap();
+        let err = WorldStore::open(&dir, &reg).unwrap_err().to_string();
+        assert!(err.contains(&wal.display().to_string()), "{err}");
+        let advice = "checkpoint it with the previous binary";
+        assert!(err.contains(advice), "{err}");
+        assert!(wal.exists());
+        assert_eq!(fs::read(dir.join(MANIFEST_FILE)).unwrap(), manifest);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,68 +1,55 @@
-//! Crash-recovery property: for *any* sequence of admin ops, any
-//! checkpoint position, and any byte-level truncation of the WAL tail
-//! (a crash mid-append), recovery replays to exactly the state
-//! produced by semantically applying the checkpointed prefix plus the
-//! surviving WAL records — never a panic, never a corrupt manifest,
-//! never a resurrected evicted world.
+//! Crash points of the manifest write. Each seeded case drives one
+//! `WorldStore` through a generated run of admin transitions — loads,
+//! swaps, evicts, a load batched with its LRU victims, snapshot saves
+//! and checkpoints — the way the registry does. After every
+//! acknowledged transition a fresh open must recover exactly the state
+//! the reference fold in this file computes, and so must each
+//! directory a crash inside that transition's write can leave: a
+//! `MANIFEST.tmp` cut at every length beside the previous manifest,
+//! and a complete one whose rename never happened.
+//!
+//! Every assertion message names its case; set `RERUN` to its seed to
+//! run that case alone.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 use biorank_obs::MetricsRegistry;
-use biorank_store::{RecoveredWorld, StoredSpec, WalOp, WorldStore, WAL_FILE};
-use proptest::prelude::*;
+use biorank_store::{
+    escape_name, RecoveredWorld, Recovery, StoredSpec, WalOp, WorldStore, MANIFEST_FILE,
+};
 
-/// (tag, world, seed): the raw material of one op. Generations are
-/// assigned sequentially during application, like the live registry.
-type RawOp = (u8, u8, u8);
+/// Cases per run.
+const CASES: u64 = 96;
+/// Case `i` runs seed `FIRST_SEED + i`.
+const FIRST_SEED: u64 = 0xC7A5_0000;
+/// `Some(seed)` runs that one case alone.
+const RERUN: Option<u64> = None;
 
-fn spec(seed: u8) -> StoredSpec {
-    StoredSpec {
-        seed: u64::from(seed),
-        extended: seed % 2 == 0,
-        cache_capacity: u64::from(seed % 5) * 4,
+/// SplitMix64: every case is built from its own seed alone.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
     }
 }
 
-fn world_name(w: u8) -> String {
-    // Include a char that needs escaping so file naming is exercised.
-    format!("w/{}", w % 4)
+/// The reference: the acknowledged registry, and the worlds whose
+/// snapshot file is on disk.
+#[derive(Default)]
+struct Model {
+    registry: Recovery,
+    saved: BTreeSet<String>,
 }
 
-fn materialize(raw: &[RawOp]) -> Vec<WalOp> {
-    let mut generation = 0u64;
-    raw.iter()
-        .map(|&(tag, w, s)| match tag % 3 {
-            0 => {
-                generation += 1;
-                WalOp::Load {
-                    world: world_name(w),
-                    spec: spec(s),
-                    generation,
-                }
-            }
-            1 => {
-                generation += 1;
-                WalOp::Swap {
-                    world: world_name(w),
-                    spec: spec(s),
-                    generation,
-                }
-            }
-            _ => WalOp::Evict {
-                world: world_name(w),
-            },
-        })
-        .collect()
-}
-
-/// The semantic model: what the registry state must be after `ops`.
-fn apply(ops: &[WalOp]) -> (u64, BTreeMap<String, (StoredSpec, u64)>) {
-    let mut next_generation = 0u64;
-    let mut worlds = BTreeMap::new();
-    for op in ops {
+impl Model {
+    fn fold(&mut self, op: &WalOp) {
         match op {
             WalOp::Load {
                 world,
@@ -74,98 +61,151 @@ fn apply(ops: &[WalOp]) -> (u64, BTreeMap<String, (StoredSpec, u64)>) {
                 spec,
                 generation,
             } => {
-                next_generation = next_generation.max(generation + 1);
-                worlds.insert(world.clone(), (*spec, *generation));
+                let next = &mut self.registry.next_generation;
+                *next = (*next).max(generation + 1);
+                let entry = RecoveredWorld {
+                    spec: *spec,
+                    generation: *generation,
+                    snapshot: None,
+                };
+                self.registry.worlds.insert(world.clone(), entry);
             }
             WalOp::Evict { world } => {
-                worlds.remove(world);
+                self.registry.worlds.remove(world);
+                self.saved.remove(world);
             }
         }
     }
-    (next_generation, worlds)
-}
 
-fn fresh_dir() -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "biorank-prop-wal-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn any_prefix_recovers_consistently(
-        raw in proptest::collection::vec((0u8..=2, 0u8..=5, 0u8..=9), 0..=16),
-        checkpoint_at in 0usize..=16,
-        cut in 0usize..=64,
-    ) {
-        let ops = materialize(&raw);
-        let checkpoint_at = checkpoint_at.min(ops.len());
-        let dir = fresh_dir();
-        let registry = MetricsRegistry::new();
-        let store = WorldStore::open(&dir, &registry).unwrap();
-
-        // Acknowledge the first `checkpoint_at` ops, checkpoint (the
-        // manifest absorbs them), then acknowledge the rest.
-        for op in &ops[..checkpoint_at] {
-            store.append(op).unwrap();
-        }
-        let (next_generation, state) = apply(&ops[..checkpoint_at]);
-        let mut manifest = WorldStore::manifest_from_worlds(
-            next_generation,
-            state
-                .iter()
-                .map(|(name, (spec, generation))| (name.as_str(), *spec, *generation, None)),
-        );
-        store.checkpoint(&mut manifest).unwrap();
-        for op in &ops[checkpoint_at..] {
-            store.append(op).unwrap();
-        }
-
-        // Crash: chop `cut` bytes off the WAL tail (clamped to its
-        // size). Compute which post-checkpoint records survive.
-        let wal_path = dir.join(WAL_FILE);
-        let wal_bytes = fs::read(&wal_path).unwrap();
-        let keep = wal_bytes.len().saturating_sub(cut);
-        fs::write(&wal_path, &wal_bytes[..keep]).unwrap();
-        let mut survive = checkpoint_at;
-        let mut offset = 0usize;
-        for op in &ops[checkpoint_at..] {
-            // Record framing: 4-byte len + 8-byte checksum + payload.
-            offset += 12 + op.encode().len();
-            if offset <= keep {
-                survive += 1;
-            } else {
-                break;
+    /// What `recover` must report: a checkpoint's pointer, else the
+    /// world's own snapshot file when it is on disk.
+    fn expected(&self) -> Recovery {
+        let mut want = self.registry.clone();
+        for (name, world) in &mut want.worlds {
+            if world.snapshot.is_none() && self.saved.contains(name) {
+                world.snapshot = Some(format!("{}.snap", escape_name(name)));
             }
         }
+        want
+    }
+}
 
-        // Recover as a fresh process would.
-        drop(store);
-        let store = WorldStore::open(&dir, &registry).unwrap();
-        let recovery = store.recover().unwrap();
-        let (want_next, want_worlds) = apply(&ops[..survive]);
+fn recover(dir: &Path) -> Recovery {
+    WorldStore::open(dir, &MetricsRegistry::new())
+        .and_then(|store| store.recover())
+        .unwrap_or_else(|e| panic!("open {}: {e}", dir.display()))
+}
 
-        prop_assert_eq!(recovery.wal_ops_replayed, survive - checkpoint_at);
-        prop_assert_eq!(recovery.next_generation, want_next);
-        let got: BTreeMap<String, (StoredSpec, u64)> = recovery
-            .worlds
-            .iter()
-            .map(|(name, RecoveredWorld { spec, generation, .. })| {
-                (name.clone(), (*spec, *generation))
-            })
-            .collect();
-        prop_assert_eq!(&got, &want_worlds);
+/// Puts the manifest from before the last write back (`None`: there
+/// was none) beside a `MANIFEST.tmp` holding that write's bytes, cut
+/// at every length, longest (the rename that never happened) first.
+/// Each must recover `want`. Then restores the write.
+fn crash_points(dir: &Path, before: Option<&[u8]>, want: &Recovery, name: &str) {
+    let manifest = dir.join(MANIFEST_FILE);
+    let after = fs::read(&manifest).unwrap();
+    match before {
+        Some(bytes) => fs::write(&manifest, bytes).unwrap(),
+        None => fs::remove_file(&manifest).unwrap(),
+    }
+    let tmp = manifest.with_extension("tmp");
+    fs::write(&tmp, &after).unwrap();
+    let file = fs::OpenOptions::new().write(true).open(&tmp).unwrap();
+    for cut in (0..=after.len()).rev() {
+        file.set_len(cut as u64).unwrap();
+        let len = after.len();
+        let what = format!("MANIFEST.tmp holds {cut} of {len} bytes, never renamed");
+        assert_eq!(&recover(dir), want, "{name}: {what}");
+    }
+    fs::remove_file(&tmp).unwrap();
+    fs::write(&manifest, after).unwrap();
+}
 
-        // Recovery must be idempotent: a second recover (a second
-        // crash before any new ops) sees the same state.
-        prop_assert_eq!(store.recover().unwrap().worlds, recovery.worlds);
-        let _ = fs::remove_dir_all(&dir);
+fn run_case(seed: u64) {
+    let mut rng = Rng(seed);
+    let dir = std::env::temp_dir().join(format!(
+        "biorank-crash-points-{}-{seed:x}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    let store = WorldStore::open(&dir, &MetricsRegistry::new()).unwrap();
+    let mut model = Model::default();
+    let mut name = format!("case seed={seed:#x} (RERUN = Some({seed:#x}) runs it alone):");
+    for generation in 1..=1 + rng.below(13) {
+        // A '/' needs escaping, so snapshot file naming is exercised.
+        let world = format!("w/{}", rng.below(4));
+        let s = rng.below(10);
+        let spec = StoredSpec {
+            seed: s,
+            extended: s.is_multiple_of(2),
+            cache_capacity: s % 5 * 4,
+        };
+        let load = WalOp::Load {
+            world: world.clone(),
+            spec,
+            generation,
+        };
+        let before = fs::read(dir.join(MANIFEST_FILE)).ok();
+        let ops = match rng.below(7) {
+            // A `world.save`: a snapshot file, no manifest write.
+            0 => {
+                name += &format!(" save {world:?};");
+                store.save_snapshot(&world, b"payload").unwrap();
+                model.saved.insert(world);
+                Vec::new()
+            }
+            // A checkpoint: every world's snapshot, then the manifest
+            // with their pointers.
+            1 => {
+                name += " checkpoint;";
+                let mut next = model.registry.clone();
+                for (world, entry) in &mut next.worlds {
+                    entry.snapshot = Some(store.save_snapshot(world, b"payload").unwrap().0);
+                    model.saved.insert(world.clone());
+                }
+                store.checkpoint(&next).unwrap();
+                crash_points(&dir, before.as_deref(), &model.expected(), &name);
+                model.registry = next;
+                Vec::new()
+            }
+            2 => vec![WalOp::Swap {
+                world,
+                spec,
+                generation,
+            }],
+            3 => vec![WalOp::Evict { world }],
+            // A load batched with up to two LRU victims.
+            4 => {
+                let victims = model.registry.worlds.keys().take(rng.below(3) as usize);
+                let evict = |world: &String| WalOp::Evict {
+                    world: world.clone(),
+                };
+                victims.map(evict).chain([load]).collect()
+            }
+            _ => vec![load],
+        };
+        if !ops.is_empty() {
+            name += &format!(" {ops:?};");
+            store.apply(&ops).unwrap();
+            crash_points(&dir, before.as_deref(), &model.expected(), &name);
+            for op in &ops {
+                model.fold(op);
+                if let WalOp::Evict { world } = op {
+                    // The registry drops a victim's snapshot after the write.
+                    store.remove_snapshot(world).unwrap();
+                }
+            }
+        }
+        assert_eq!(recover(&dir), model.expected(), "{name}");
+        assert_eq!(store.recover().unwrap(), model.expected(), "{name}");
+    }
+    assert!(!dir.join("wal.log").exists(), "{name}: a wal.log appeared");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn any_prefix_recovers_consistently() {
+    match RERUN {
+        Some(seed) => run_case(seed),
+        None => (FIRST_SEED..FIRST_SEED + CASES).for_each(run_case),
     }
 }

@@ -276,9 +276,9 @@ fn a_budget_shrink_reboot_keeps_its_eviction() {
     // Under --worlds 1 only the pinned default fits, so restoring aux
     // evicts it; the boot itself logs nothing else.
     let served = Served::start(Some(&dir), "--worlds 1");
-    let metrics = poll("aux's eviction to reach the WAL", || {
+    let metrics = poll("aux's eviction to reach the manifest", || {
         let metrics = served.cli("admin metrics");
-        (metric(&metrics, "store.wal_append") >= 1).then_some(metrics)
+        (metric(&metrics, "store.manifest_write") >= 1).then_some(metrics)
     });
     assert_eq!(metric(&metrics, "tenancy.evict.lru"), 1);
     drop(served);
@@ -348,10 +348,7 @@ fn sigterm_drains_checkpoints_and_exits_zero() {
     assert!(files.iter().any(|f| f == "MANIFEST"), "{files:?}");
     assert!(!files.iter().any(|f| f.ends_with(".tmp")), "{files:?}");
     let served = Served::start(Some(&dir), "");
-    assert_has(
-        &served.boot,
-        "2 world(s) recovered, 0 WAL record(s) replayed",
-    );
+    assert_has(&served.boot, "2 world(s) recovered");
     assert_has(&served.cli(CERTIFIED_GALT), "result cache hit");
     let _ = std::fs::remove_dir_all(&dir);
 }

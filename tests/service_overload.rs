@@ -45,11 +45,12 @@ fn cheap_request(id_protein: &str) -> QueryRequest {
     )
 }
 
-/// A fused word-engine query: `TraversalMc` + `Word` is the one path
-/// that polls the fault plan's per-block estimator stall, so its
-/// duration is controlled by `stall_batch_ms` × block count
-/// (`FUSION_LANES` × 64 trials per block) rather than machine speed.
-fn fused_request(trials: u32, seed: u64) -> QueryRequest {
+/// A word-estimator query. A Monte Carlo run polls the fault plan's
+/// estimator stall once per block (`FUSION_LANES` × 64 trials), so its
+/// duration is controlled by `stall_batch_ms` × block count rather
+/// than machine speed; naming the estimator keeps the planner from
+/// picking the closed form, which runs no blocks.
+fn word_request(trials: u32, seed: u64) -> QueryRequest {
     QueryRequest::protein_functions(
         "GALT",
         RankerSpec {
@@ -76,7 +77,7 @@ fn held_connection(handle: &ServerHandle) -> TcpStream {
 }
 
 /// The estimator-stall fault is process-global (one atomic polled per
-/// fused block), so tests that install one serialize on this lock and
+/// block), so tests that install one serialize on this lock and
 /// clear the stall on drop — even on panic.
 static STALL_LOCK: Mutex<()> = Mutex::new(());
 
@@ -239,7 +240,7 @@ fn queue_bound_sheds_requests_while_one_is_in_flight() {
     let handle = start_server(ServeOptions {
         workers: 2,
         queue_depth: 1,
-        // 2048 fixed trials = 4 fused blocks of 8×64; each block
+        // 2048 fixed trials = 4 blocks of 8×64; each block
         // stalls 150 ms, pinning the in-flight query's duration.
         fault_plan: Some(FaultPlan {
             stall_batch_ms: 150,
@@ -251,7 +252,7 @@ fn queue_bound_sheds_requests_while_one_is_in_flight() {
 
     let slow = std::thread::spawn(move || {
         let mut a = Client::connect(addr).expect("client a");
-        a.query(&fused_request(2048, 3))
+        a.query(&word_request(2048, 3))
             .expect("slow query completes")
     });
 
@@ -291,7 +292,7 @@ fn deadline_fires_mid_estimate_and_does_not_poison_the_cache() {
     // 5 000 trials = 10 stalled blocks ≈ 2.5 s of injected stall, but
     // the 100 ms deadline aborts after the first block's poll.
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let req = fused_request(5_000, 11).with_deadline_ms(100);
+    let req = word_request(5_000, 11).with_deadline_ms(100);
     let err = client.query(&req).expect_err("deadline fires mid-run");
     let msg = err.to_string();
     assert!(msg.contains("deadline_exceeded"), "{msg}");
@@ -308,7 +309,7 @@ fn deadline_fires_mid_estimate_and_does_not_poison_the_cache() {
     // answers correctly.
     biorank::service::admission::set_stall_batch_ms(0);
     let resp = client
-        .query(&fused_request(5_000, 11))
+        .query(&word_request(5_000, 11))
         .expect("undeadlined rerun succeeds");
     assert_eq!(resp.total_answers, 15);
     assert!(!resp.cached_scores, "the aborted run must not have cached");
@@ -331,7 +332,7 @@ fn deadline_fires_mid_estimate_for_fixed_traversal_runs_too() {
         ..Default::default()
     });
 
-    let mut req = fused_request(5_000, 11);
+    let mut req = word_request(5_000, 11);
     req.spec.estimator = Some(Estimator::Traversal);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let err = client
@@ -366,7 +367,7 @@ fn drain_finishes_in_flight_queries_and_server_exits_cleanly() {
         engine,
         ServeOptions {
             workers: 2,
-            // 1 536 trials = 3 fused blocks × 200 ms stall ≈ 600 ms:
+            // 1 536 trials = 3 blocks × 200 ms stall ≈ 600 ms:
             // comfortably in flight when the drain lands.
             fault_plan: Some(FaultPlan {
                 stall_batch_ms: 200,
@@ -382,7 +383,7 @@ fn drain_finishes_in_flight_queries_and_server_exits_cleanly() {
 
     let in_flight = std::thread::spawn(move || {
         let mut a = Client::connect(addr).expect("client a");
-        a.query(&fused_request(1_536, 5))
+        a.query(&word_request(1_536, 5))
             .expect("in-flight query answered")
     });
 
