@@ -140,11 +140,11 @@ impl Mediator {
                     continue;
                 };
                 let qs = self.schema.rel(rel_id).qs;
-                let node_key = (link.to_entity_set.clone(), link.to_key.clone());
+                let node_key = (link.to_entity_set, link.to_key);
                 let to = match node_of.get(&node_key) {
                     Some(&n) => n,
                     None => {
-                        let Some(rec) = self.registry.get(&link.to_entity_set, &link.to_key) else {
+                        let Some(rec) = self.registry.get(&node_key.0, &node_key.1) else {
                             stats.dangling_links += 1;
                             continue;
                         };

@@ -937,18 +937,7 @@ impl QueryEngine {
         start: Instant,
         deadline: Option<Instant>,
     ) -> Result<QueryResponse, Error> {
-        let (graph, graph_ns) = trace.time("graph", || -> Result<_, Error> {
-            match self.graphs.get(&req.query) {
-                Some(hit) => Ok((hit, true)),
-                None => {
-                    let computed = Arc::new(self.mediator.execute(&req.query)?);
-                    self.graphs.insert(req.query.clone(), computed.clone());
-                    Ok((computed, false))
-                }
-            }
-        });
-        self.metrics.histogram("stage_ns.graph").record(graph_ns);
-        let (integration, cached_graph) = graph?;
+        let (integration, cached_graph) = self.integrate(&req.query, trace)?;
 
         // The scoring stage splits into "estimate" (estimator batches,
         // plus ranking assembly) and "certify" (the adaptive runner's
@@ -999,6 +988,28 @@ impl QueryEngine {
         Ok(response)
     }
 
+    /// The integrated graph of `query` through the graph cache, and
+    /// whether that was a hit. Integration is timed as the `graph`
+    /// span wherever it runs, planning included.
+    fn integrate(
+        &self,
+        query: &ExploratoryQuery,
+        trace: &mut TraceRecorder,
+    ) -> Result<(Arc<IntegrationResult>, bool), Error> {
+        let (graph, graph_ns) = trace.time("graph", || -> Result<_, Error> {
+            match self.graphs.get(query) {
+                Some(hit) => Ok((hit, true)),
+                None => {
+                    let computed = Arc::new(self.mediator.execute(query)?);
+                    self.graphs.insert(query.clone(), computed.clone());
+                    Ok((computed, false))
+                }
+            }
+        });
+        self.metrics.histogram("stage_ns.graph").record(graph_ns);
+        graph
+    }
+
     /// Per-request counters and the per-estimator latency series,
     /// recorded on every completed execution, hit or computed.
     fn finish_query(&self, req: &QueryRequest, start: Instant, cached: bool) {
@@ -1019,8 +1030,10 @@ impl QueryEngine {
     /// Resolves an `estimator: auto` request into the concrete
     /// strategy the planner chooses, or `None` when the request
     /// doesn't ask for planning. Bumps `planner.chosen.<strategy>` and
-    /// `planner.fallback`, and records the whole resolution as the
-    /// `plan` trace span.
+    /// `planner.fallback`, and records the resolution as the `plan`
+    /// trace span. A feature-cache miss integrates first, through the
+    /// graph cache and in its own `graph` span, so `plan` times only
+    /// feature extraction and planning.
     fn resolve_plan(
         &self,
         req: &QueryRequest,
@@ -1029,8 +1042,20 @@ impl QueryEngine {
         if !req.spec.wants_plan() {
             return Ok(None);
         }
+        let cached = self.features.get(&req.query);
+        let integrated = match cached {
+            Some(_) => None,
+            None => Some(self.integrate(&req.query, trace)?),
+        };
         let (planned, plan_ns) = trace.time("plan", || -> Result<_, Error> {
-            let (graph, fresh_graph) = self.plan_features(&req.query)?;
+            let (graph, fresh_graph) = match integrated {
+                Some((integration, cached_graph)) => {
+                    let features = self.graph_features(&req.query, &integration);
+                    self.features.insert(req.query.clone(), features);
+                    (features, !cached_graph)
+                }
+                None => (cached.expect("a feature-cache miss integrates"), false),
+            };
             let (request, plan) = Self::plan_request(req, graph);
             self.metrics.counter(chosen_metric(plan.strategy)).inc();
             if plan.fallback {
@@ -1071,26 +1096,6 @@ impl QueryEngine {
         let mut request = req.clone();
         request.spec = spec_for_strategy(plan.strategy, &req.spec);
         (request, plan)
-    }
-
-    /// The planner features of one query's integrated graph, through
-    /// the feature cache (and, on a miss, the graph cache). The bool
-    /// reports whether this call had to run integration itself.
-    fn plan_features(&self, query: &ExploratoryQuery) -> Result<(GraphFeatures, bool), Error> {
-        if let Some(features) = self.features.get(query) {
-            return Ok((features, false));
-        }
-        let (integration, fresh) = match self.graphs.get(query) {
-            Some(hit) => (hit, false),
-            None => {
-                let computed = Arc::new(self.mediator.execute(query)?);
-                self.graphs.insert(query.clone(), computed.clone());
-                (computed, true)
-            }
-        };
-        let features = self.graph_features(query, &integration);
-        self.features.insert(query.clone(), features);
-        Ok((features, fresh))
     }
 
     /// Extracts the planner features of one integrated query: the

@@ -107,7 +107,7 @@ impl WorldSpec {
         };
         let hints = bundle.hints.clone();
         QueryEngine::with_cache_capacity(
-            Mediator::new(bundle.schema, world.registry()),
+            Mediator::new(bundle.schema, world.into_registry()),
             self.cache_capacity,
         )
         // The bundle's Theorem 3.2 compose hints feed the query

@@ -84,13 +84,15 @@ pub trait Source: Send + Sync {
     /// exact attribute matches).
     fn search(&self, entity_set: &str, value: &str) -> Vec<Record>;
 
-    /// Fetch one record by key.
+    /// Fetch one record by key. The mediator calls this per integrated
+    /// node, so a lookup by key must not scan the whole table.
     fn get(&self, entity_set: &str, key: &str) -> Option<Record>;
 
     /// Relationship instances *from* the given record. Sources may
     /// contribute links from entity sets they do not own — that is how
     /// computed relationships (BLAST runs, family matches) integrate
-    /// foreign records.
+    /// foreign records. Called on every source per integrated node: as
+    /// with [`get`](Source::get), a lookup by key must not scan the table.
     fn links_from(&self, entity_set: &str, key: &str) -> Vec<Link>;
 }
 

@@ -17,12 +17,54 @@
 //!   source of the test set", §4).
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use biorank_graph::Prob;
 use biorank_schema::{evalue_to_prob, EvidenceCode, StatusCode};
 
 use crate::go::{GoTerm, GoUniverse};
 use crate::source::{Link, Record, Source};
+use crate::world::fnv1a;
+
+/// A by-key index over a `row key → records` table, built on the first
+/// lookup: `(key hash, row, column)` sorted by hash, ties in table order,
+/// beside the row keys (one per row, not per record).
+#[derive(Clone, Debug, Default)]
+struct KeyIndex(OnceLock<(Vec<Position>, Vec<String>)>);
+
+/// `(key hash, row, column)`.
+type Position = (u64, u32, u32);
+
+impl KeyIndex {
+    /// The first `(row key, record)` of `table`, in table order, whose
+    /// key is `key`: a binary search, not a scan.
+    fn find<'t, R, T: 't>(
+        &self,
+        table: &'t BTreeMap<String, R>,
+        records: impl Fn(&'t R) -> &'t [T],
+        key_of: impl Fn(&T) -> &str,
+        key: &str,
+    ) -> Option<(&'t String, &'t T)> {
+        let (positions, rows) = self.0.get_or_init(|| {
+            let mut positions = Vec::new();
+            for (row, rec) in table.values().enumerate() {
+                let at = |(col, r)| (fnv1a(key_of(r)), row as u32, col as u32);
+                positions.extend(records(rec).iter().enumerate().map(at));
+            }
+            positions.sort_unstable();
+            (positions, table.keys().cloned().collect())
+        });
+        let hash = fnv1a(key);
+        let first = positions.partition_point(|p| p.0 < hash);
+        let candidates = positions[first..].iter().take_while(|p| p.0 == hash);
+        candidates
+            .filter_map(|&(_, row, col)| {
+                let (row_key, rec) = table.get_key_value(&rows[row as usize])?;
+                Some((row_key, records(rec).get(col as usize)?))
+            })
+            .find(|(_, r)| key_of(r) == key)
+    }
+}
 
 /// `EntrezProtein(name, seq)`.
 #[derive(Clone, Debug, Default)]
@@ -172,16 +214,16 @@ pub struct BlastHit {
 /// The NCBIBlast computed source.
 #[derive(Clone, Debug, Default)]
 pub struct BlastSource {
-    /// protein name → hits.
+    /// protein name → hits; indexed by hit key on the first lookup.
     pub hits: BTreeMap<String, Vec<BlastHit>>,
+    index: KeyIndex,
 }
 
 impl BlastSource {
     fn hit_by_key(&self, key: &str) -> Option<&BlastHit> {
-        self.hits
-            .values()
-            .flat_map(|v| v.iter())
-            .find(|h| h.hit_key == key)
+        self.index
+            .find(&self.hits, Vec::as_slice, |h| &h.hit_key, key)
+            .map(|(_, h)| h)
     }
 }
 
@@ -370,13 +412,15 @@ impl Source for AmigoSource {
 /// annotations.
 #[derive(Clone, Debug, Default)]
 pub struct UniProtSource {
-    /// protein name → (uniprot accession, idEG).
+    /// protein name → (uniprot accession, idEG); indexed by accession.
     pub records: BTreeMap<String, (String, String)>,
+    index: KeyIndex,
 }
 
 impl UniProtSource {
     fn by_accession(&self, acc: &str) -> Option<(&String, &(String, String))> {
-        self.records.iter().find(|(_, (a, _))| a == acc)
+        self.index
+            .find(&self.records, std::slice::from_ref, |r| &r.0, acc)
     }
 }
 
@@ -439,8 +483,9 @@ impl Source for UniProtSource {
 /// answer).
 #[derive(Clone, Debug, Default)]
 pub struct PdbSource {
-    /// protein name → structure ids.
+    /// protein name → structure ids; indexed by structure id.
     pub structures: BTreeMap<String, Vec<String>>,
+    index: KeyIndex,
 }
 
 impl Source for PdbSource {
@@ -460,11 +505,10 @@ impl Source for PdbSource {
         if entity_set != "PDB" {
             return None;
         }
-        self.structures
-            .values()
-            .flatten()
-            .find(|id| id.as_str() == key)
-            .map(|id| Record::new("PDB", id, format!("structure {id}"), Prob::ONE))
+        let found = self
+            .index
+            .find(&self.structures, Vec::as_slice, String::as_str, key);
+        found.map(|(_, id)| Record::new("PDB", id, format!("structure {id}"), Prob::ONE))
     }
 
     fn links_from(&self, entity_set: &str, key: &str) -> Vec<Link> {
@@ -565,6 +609,103 @@ mod tests {
         assert_eq!(l2[0].relationship, "blast2gene");
         assert_eq!(l2[0].to_key, "EG42");
         assert_eq!(l2[0].qr.get(), 1.0, "foreign keys carry qr = 1");
+    }
+
+    /// The linear scans the key indexes replaced, kept as their oracle.
+    fn blast_scan<'a>(b: &'a BlastSource, key: &str) -> Option<&'a BlastHit> {
+        b.hits.values().flatten().find(|h| h.hit_key == key)
+    }
+
+    fn uniprot_scan<'a>(u: &'a UniProtSource, acc: &str) -> Option<&'a String> {
+        u.records
+            .iter()
+            .find(|(_, (a, _))| a == acc)
+            .map(|(p, _)| p)
+    }
+
+    fn pdb_scan<'a>(p: &'a PdbSource, key: &str) -> Option<&'a String> {
+        p.structures
+            .values()
+            .flatten()
+            .find(|id| id.as_str() == key)
+    }
+
+    /// Both lookups return the same element of the same table.
+    fn same<T>(a: Option<&T>, b: Option<&T>) -> bool {
+        a.map(|x| x as *const T) == b.map(|x| x as *const T)
+    }
+
+    #[test]
+    fn key_indexes_agree_with_the_scans_they_replaced() {
+        for extended in [false, true] {
+            let w = crate::World::generate(crate::WorldParams {
+                extended,
+                ..crate::WorldParams::default()
+            });
+            // World::generate indexes its tables once they are full.
+            assert!(w.blast.index.0.get().is_some());
+            assert!(w.uniprot.index.0.get().is_some() && w.pdb.index.0.get().is_some());
+            let absent = ["", "HIT", "HIT99999", "HIT:GALT", "P00000", "nope"];
+
+            let keys: Vec<&str> = w
+                .blast
+                .hits
+                .values()
+                .flatten()
+                .map(|h| &*h.hit_key)
+                .collect();
+            assert!(keys.len() > 1000, "{} BLAST hits", keys.len());
+            for key in keys.into_iter().chain(absent) {
+                assert!(
+                    same(w.blast.hit_by_key(key), blast_scan(&w.blast, key)),
+                    "{key}"
+                );
+            }
+
+            let accs: Vec<&str> = w.uniprot.records.values().map(|(a, _)| &**a).collect();
+            assert_eq!(accs.is_empty(), !extended);
+            for acc in accs.into_iter().chain(absent) {
+                let found = w.uniprot.by_accession(acc).map(|(p, _)| p);
+                assert!(same(found, uniprot_scan(&w.uniprot, acc)), "{acc}");
+            }
+
+            let ids: Vec<&str> = w.pdb.structures.values().flatten().map(|s| &**s).collect();
+            assert_eq!(ids.is_empty(), !extended);
+            for id in ids.into_iter().chain(absent) {
+                let found = w.pdb.get("PDB", id).map(|r| r.key);
+                assert_eq!(found.as_ref(), pdb_scan(&w.pdb, id), "{id}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_key_resolves_to_its_first_occurrence_in_table_order() {
+        let hit = |id_eg: &str| BlastHit {
+            hit_key: "DUP".into(),
+            e_value: 1e-10,
+            id_eg: id_eg.into(),
+        };
+        let mut b = BlastSource::default();
+        b.hits.insert("B".into(), vec![hit("EG3"), hit("EG4")]);
+        b.hits.insert("A".into(), vec![hit("EG1"), hit("EG2")]);
+        assert!(same(b.hit_by_key("DUP"), blast_scan(&b, "DUP")));
+        assert_eq!(b.links_from("NCBIBlast", "DUP")[0].to_key, "EG1");
+
+        let mut u = UniProtSource::default();
+        u.records.insert("B".into(), ("P1".into(), "EG2".into()));
+        u.records.insert("A".into(), ("P1".into(), "EG1".into()));
+        assert_eq!(u.get("UniProt", "P1").unwrap().label, "A (P1)");
+        assert_eq!(u.links_from("UniProt", "P1")[0].to_key, "EG1");
+
+        let mut p = PdbSource::default();
+        p.structures.insert("B".into(), vec!["X".into()]);
+        p.structures
+            .insert("A".into(), vec!["Y".into(), "X".into(), "X".into()]);
+        let found = p
+            .index
+            .find(&p.structures, Vec::as_slice, String::as_str, "X");
+        assert_eq!(found.map(|(row, _)| row.as_str()), Some("A"));
+        assert!(same(found.map(|(_, id)| id), pdb_scan(&p, "X")));
     }
 
     #[test]

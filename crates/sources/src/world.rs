@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use crate::evidence::{EvidenceModel, FunctionClass, PathKind};
 use crate::go::{GoTerm, GoUniverse};
 use crate::paper_data::{self, TABLE1, TABLE3};
-use crate::source::Registry;
+use crate::source::{Registry, Source};
 use crate::tables::{
     AmigoSource, BlastHit, BlastSource, EntrezGeneSource, EntrezProteinSource, FamilyHit,
     FamilySource, GeneRecord, IproclassSource, PdbSource, UniProtSource,
@@ -231,6 +231,10 @@ impl World {
         }
         w.amigo.universe = go.clone();
         w.go = go;
+        // Index the full tables' keys now (on a first lookup), not in a query.
+        w.blast.get("NCBIBlast", "");
+        w.uniprot.get("UniProt", "");
+        w.pdb.get("PDB", "");
         w
     }
 
@@ -613,23 +617,28 @@ impl World {
         self.profiles.iter().find(|p| p.name == name)
     }
 
-    /// Builds a [`Registry`] over cloned snapshots of the source tables.
+    /// [`into_registry`](World::into_registry) over a clone of the world.
+    pub fn registry(&self) -> Registry {
+        self.clone().into_registry()
+    }
+
+    /// Builds a [`Registry`] that owns the world's source tables.
     ///
     /// The extended-federation sources are always registered; their
     /// tables are simply empty when [`WorldParams::extended`] is off.
-    pub fn registry(&self) -> Registry {
+    pub fn into_registry(self) -> Registry {
         let mut r = Registry::new();
-        r.register(Box::new(self.entrez_protein.clone()));
-        r.register(Box::new(self.pfam.clone()));
-        r.register(Box::new(self.tigrfam.clone()));
-        r.register(Box::new(self.blast.clone()));
-        r.register(Box::new(self.entrez_gene.clone()));
-        r.register(Box::new(self.amigo.clone()));
-        r.register(Box::new(self.pirsf.clone()));
-        r.register(Box::new(self.superfamily.clone()));
-        r.register(Box::new(self.cdd.clone()));
-        r.register(Box::new(self.uniprot.clone()));
-        r.register(Box::new(self.pdb.clone()));
+        r.register(Box::new(self.entrez_protein));
+        r.register(Box::new(self.pfam));
+        r.register(Box::new(self.tigrfam));
+        r.register(Box::new(self.blast));
+        r.register(Box::new(self.entrez_gene));
+        r.register(Box::new(self.amigo));
+        r.register(Box::new(self.pirsf));
+        r.register(Box::new(self.superfamily));
+        r.register(Box::new(self.cdd));
+        r.register(Box::new(self.uniprot));
+        r.register(Box::new(self.pdb));
         r
     }
 
@@ -783,8 +792,8 @@ fn add_family_path(
     }
 }
 
-/// 64-bit FNV-1a hash of a protein name, for per-protein RNG streams.
-fn fnv1a(name: &str) -> u64 {
+/// 64-bit FNV-1a hash: per-protein RNG streams, and the tables' key indexes.
+pub(crate) fn fnv1a(name: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in name.as_bytes() {
         h ^= u64::from(*b);

@@ -104,7 +104,8 @@ fn reboot(dir: &Path, budget: usize) -> (Arc<WorldManager>, Recovery) {
     (boot.manager, boot.recovery)
 }
 
-/// A default-world manager over `dir`, its default WAL-logged.
+/// A default-world manager over `dir`, its default recorded in the
+/// manifest.
 fn first_life(dir: &Path) -> Arc<WorldManager> {
     let spec = default_spec();
     let manager = WorldManager::with_default(Arc::new(spec.build()), spec, 4);
@@ -291,7 +292,7 @@ fn restore_evictions_survive_the_next_reboot() {
     let deadline = Instant::now() + Duration::from_secs(60);
     let resident: Vec<String> = loop {
         // Settled: nothing loading, every victim counted, and every
-        // counted victim on disk (the WAL append follows the count).
+        // counted victim on disk (the manifest write follows the count).
         let listed = manager.list();
         let evicted = counter(&manager, "tenancy.evict.lru");
         if listed.iter().all(|w| w.state == WorldState::Ready)
@@ -323,6 +324,41 @@ fn restore_evictions_survive_the_next_reboot() {
         .into_keys()
         .collect();
     assert_eq!(recovered, resident, "an evicted world came back");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `world.save` made before a `world.swap` of the same spec, then a
+/// reboot with no checkpoint: the swap left the manifest entry without
+/// a snapshot pointer, so recovery must re-attach `<name>.snap` from
+/// the directory, and the first answer comes back bit-identical from
+/// that snapshot rather than from a recomputation.
+#[test]
+fn recovery_reattaches_a_saved_snapshot_after_a_swap() {
+    let dir = fresh_dir();
+    let (handle, join) = start(first_life(&dir));
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let req = requests().swap_remove(1);
+    let before = client.query(&req).expect("first-life query");
+    client.world_save("default").expect("save");
+    client.world_swap("default", default_spec()).expect("swap");
+    drop(client);
+    handle.shutdown();
+    join.join().expect("first server exits");
+
+    let (manager2, recovery) = reboot(&dir, 4);
+    assert_eq!(
+        recovery.worlds["default"].snapshot.as_deref(),
+        Some("default.snap"),
+        "the saved snapshot was not re-attached"
+    );
+    let (handle2, join2) = start(manager2);
+    let mut client2 = Client::connect(handle2.addr()).expect("reconnect");
+    let after = client2.query(&req).expect("first answer after reboot");
+    assert!(after.cached_scores, "recomputed instead of restored");
+    assert_bit_identical(&before, &after);
+    drop(client2);
+    handle2.shutdown();
+    join2.join().expect("second server exits");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
