@@ -126,9 +126,9 @@
 //!   world.save NAME                       write NAME's snapshot (spec + the
 //!                                         result cache) to the server's data
 //!                                         directory (serve --data-dir)
-//!   checkpoint                            snapshot every resident world and
-//!                                         rewrite the manifest with their
-//!                                         snapshot pointers
+//!   checkpoint                            world.save every resident world,
+//!                                         then rewrite the manifest as
+//!                                         recorded
 //!   world.list                            show the registry, including each
 //!                                         world's planner strategy mix
 //!                                         (exact/reduced/word/traversal picks)

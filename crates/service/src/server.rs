@@ -1179,9 +1179,9 @@ impl Client {
         }
     }
 
-    /// `checkpoint`: snapshot every resident world and record their
-    /// snapshot pointers in the manifest; returns `(worlds, total
-    /// snapshot bytes)`.
+    /// `checkpoint`: snapshot every resident world as `world.save`
+    /// does, then rewrite the manifest as recorded; returns `(worlds,
+    /// total snapshot bytes)`.
     pub fn checkpoint(&mut self) -> Result<(usize, u64), crate::Error> {
         match self.admin(AdminRequest::Checkpoint)? {
             AdminResponse::Checkpoint {

@@ -56,7 +56,7 @@ use biorank_obs::{MetricsRegistry, MetricsSnapshot, SlowQueryEntry};
 use biorank_rank::Strategy;
 use biorank_schema::{biorank_schema_full, biorank_schema_with_ontology};
 use biorank_sources::{World, WorldParams};
-use biorank_store::{Manifest, ManifestEntry, Recovery, StoreError, WalOp, WorldStore};
+use biorank_store::{ManifestTxn, Recovery, StoreError, WalOp, WorldStore};
 
 use crate::engine::{EngineStats, QueryEngine, DEFAULT_CACHE_CAPACITY};
 use crate::persist;
@@ -299,6 +299,7 @@ pub struct DurableBoot {
     pub restored: usize,
 }
 
+#[derive(Clone)]
 struct WorldEntry {
     engine: Arc<QueryEngine>,
     spec: WorldSpec,
@@ -426,6 +427,14 @@ impl Install {
 /// Share it with an `Arc`; every operation takes `&self`. The registry
 /// lock is held only for map bookkeeping — world generation and query
 /// execution always happen outside it.
+///
+/// Lock order: a change the manifest records (a load, swap or restore
+/// with its victims, an evict, attaching the store) takes the store's
+/// manifest lock first, then the registry lock, never the reverse; it
+/// writes the manifest after dropping the registry lock. So the
+/// manifest follows the registry in the order it changed, and no
+/// manifest write runs under the registry lock. `resolve` takes only
+/// the registry lock.
 pub struct WorldManager {
     registry: Mutex<Registry>,
     budget: usize,
@@ -437,8 +446,9 @@ pub struct WorldManager {
     /// Durable backing, when serving with `--data-dir`: every
     /// acknowledged load/swap/evict is written to the manifest here
     /// **after** the registry mutation and **before** the op returns,
-    /// and [`checkpoint`](WorldManager::checkpoint) adds per-world
-    /// snapshots and their pointers.
+    /// and [`save`](WorldManager::save) and
+    /// [`checkpoint`](WorldManager::checkpoint) write per-world
+    /// snapshots beside it.
     store: Option<Arc<WorldStore>>,
 }
 
@@ -468,6 +478,7 @@ impl WorldManager {
     /// writes only the evictions it causes.
     pub fn with_store(mut self, store: Arc<WorldStore>) -> Result<Self, TenancyError> {
         self.store = Some(store);
+        let txn = self.begin();
         let resident: Vec<WalOp> = self
             .lock()
             .worlds
@@ -478,7 +489,7 @@ impl WorldManager {
                 generation: entry.generation,
             })
             .collect();
-        self.log_ops(&resident)?;
+        self.log_ops(txn, &resident)?;
         Ok(self)
     }
 
@@ -500,16 +511,22 @@ impl WorldManager {
         self.registry.lock().expect("world registry")
     }
 
-    /// Writes `ops` to the manifest in one durable write, after the
-    /// registry mutation they describe, then drops each evicted world's
-    /// snapshot; with no store or no ops it writes nothing. A failure
-    /// surfaces as [`TenancyError::Persist`]: the in-memory op stands,
-    /// the caller's ack carries the error.
-    fn log_ops(&self, ops: &[WalOp]) -> Result<(), TenancyError> {
-        let Some(store) = self.store.as_ref().filter(|_| !ops.is_empty()) else {
+    /// The manifest lock, when a store is attached: taken before the
+    /// registry lock by every change the manifest records.
+    fn begin(&self) -> Option<ManifestTxn<'_>> {
+        self.store.as_deref().map(WorldStore::begin)
+    }
+
+    /// Commits `ops` to the manifest in one durable write, after the
+    /// registry mutation they describe and outside its lock, then drops
+    /// each evicted world's snapshot; with no store or no ops it writes
+    /// nothing. A failure surfaces as [`TenancyError::Persist`]: the
+    /// in-memory op stands, the caller's ack carries the error.
+    fn log_ops(&self, txn: Option<ManifestTxn<'_>>, ops: &[WalOp]) -> Result<(), TenancyError> {
+        let (Some(txn), Some(store)) = (txn.filter(|_| !ops.is_empty()), &self.store) else {
             return Ok(());
         };
-        store.apply(ops).map_err(persist_error)?;
+        txn.commit(ops).map_err(persist_error)?;
         for op in ops {
             if let WalOp::Evict { world } = op {
                 // Best-effort: a stale snapshot is also guarded against
@@ -538,7 +555,7 @@ impl WorldManager {
     /// how a single-world `Server::bind` wraps its engine.
     pub fn with_default(engine: Arc<QueryEngine>, spec: WorldSpec, budget: usize) -> Self {
         let mgr = WorldManager::new(budget);
-        mgr.install(mgr.lock(), DEFAULT_WORLD, spec, engine, Install::Load)
+        mgr.install(None, mgr.lock(), DEFAULT_WORLD, spec, engine, Install::Load)
             .expect("an empty, storeless registry always installs");
         mgr
     }
@@ -587,12 +604,13 @@ impl WorldManager {
         // Build outside the lock: generation takes milliseconds and
         // must not block queries on resident worlds.
         let engine = Arc::new(spec.build());
+        let txn = self.begin();
         let reg = self.lock();
         // Lost a build race? Keep the winner.
         if let Some(resident) = reg.resident(name, spec) {
             return resident;
         }
-        self.install(reg, name, spec, engine, Install::Load)
+        self.install(txn, reg, name, spec, engine, Install::Load)
     }
 
     /// Starts loading `name` on a detached worker thread and returns
@@ -658,6 +676,7 @@ impl WorldManager {
             // Build outside every lock, then clear the claim and
             // install (or give up) in one critical section.
             let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build));
+            let txn = mgr.begin();
             let mut reg = mgr.lock();
             let claimed = reg.loading.remove(&name).is_some();
             match built {
@@ -665,7 +684,7 @@ impl WorldManager {
                     // No admin connection waits on a background
                     // install, so a failed write surfaces as telemetry.
                     if let Err(TenancyError::Persist(_)) =
-                        mgr.install(reg, &name, spec, Arc::new(engine), how)
+                        mgr.install(txn, reg, &name, spec, Arc::new(engine), how)
                     {
                         mgr.metrics.counter("tenancy.persist_errors").inc();
                     }
@@ -680,16 +699,17 @@ impl WorldManager {
     }
 
     /// The one way an engine becomes resident. Under the registry
-    /// lock (`reg`, taken by the caller after its own checks): make
-    /// room, then assign a fresh generation or adopt a restore's
-    /// recorded one, then insert. Outside it: counters and gauges,
-    /// then write every victim plus the op, if there is one, to the
-    /// manifest at once. A restore that cannot fit is its own victim —
-    /// evicted on arrival and recorded as such, so the next boot does
-    /// not bring it back.
+    /// lock (`reg`, taken by the caller after the manifest lock `txn`
+    /// and its own checks): make room, then assign a fresh generation
+    /// or adopt a restore's recorded one, then insert. Outside it:
+    /// counters and gauges, then commit every victim plus the op, if
+    /// there is one, to the manifest at once. A restore that cannot
+    /// fit is its own victim — evicted on arrival and recorded as
+    /// such, so the next boot does not bring it back.
     /// Returns the installed generation.
     fn install(
         &self,
+        txn: Option<ManifestTxn<'_>>,
         mut reg: MutexGuard<'_, Registry>,
         name: &str,
         spec: WorldSpec,
@@ -736,7 +756,8 @@ impl WorldManager {
         }
         self.update_residency_gauges(resident, loading);
         let evicts = victims.into_iter().map(|world| WalOp::Evict { world });
-        self.log_ops(&evicts.chain(record.map(|(_, op)| op)).collect::<Vec<_>>())?;
+        let ops: Vec<WalOp> = evicts.chain(record.map(|(_, op)| op)).collect();
+        self.log_ops(txn, &ops)?;
         generation.ok_or(TenancyError::BudgetExhausted(self.budget))
     }
 
@@ -752,7 +773,8 @@ impl WorldManager {
     pub fn swap(&self, name: &str, spec: WorldSpec, _warm: usize) -> Result<u64, TenancyError> {
         self.lock().check_room(self.budget, name)?;
         let engine = Arc::new(spec.build());
-        self.install(self.lock(), name, spec, engine, Install::Swap)
+        let txn = self.begin();
+        self.install(txn, self.lock(), name, spec, engine, Install::Swap)
     }
 
     /// Evicts a resident world. The default world is pinned. Evicting
@@ -763,15 +785,15 @@ impl WorldManager {
         if name == DEFAULT_WORLD {
             return Err(TenancyError::DefaultPinned);
         }
+        let txn = self.begin();
         let mut reg = self.lock();
         if reg.worlds.remove(name).is_some() || reg.loading.remove(name).is_some() {
             let (resident, loading) = (reg.worlds.len(), reg.loading.len());
             drop(reg);
             self.metrics.counter("tenancy.evict").inc();
             self.update_residency_gauges(resident, loading);
-            self.log_ops(&[WalOp::Evict {
-                world: name.to_string(),
-            }])?;
+            let world = name.to_string();
+            self.log_ops(txn, &[WalOp::Evict { world }])?;
             return Ok(());
         }
         Err(TenancyError::WorldNotFound(name.to_string()))
@@ -784,62 +806,35 @@ impl WorldManager {
     /// attached store.
     pub fn save(&self, name: &str) -> Result<(u64, u64), TenancyError> {
         let store = self.require_store()?;
-        let (engine, spec, generation) = {
+        let world = {
             let reg = self.lock();
-            let Some(e) = reg.worlds.get(name) else {
+            let Some(world) = reg.worlds.get(name) else {
                 return Err(if reg.loading.contains_key(name) {
                     TenancyError::WorldLoading(name.to_string())
                 } else {
                     TenancyError::WorldNotFound(name.to_string())
                 });
             };
-            (Arc::clone(&e.engine), e.spec, e.generation)
+            world.clone()
         };
-        // Export and write outside the registry lock: a snapshot of a
-        // busy world must not stall resolves on other worlds.
-        let payload = persist::export_snapshot(&engine, spec);
-        let (_file, bytes) = store.save_snapshot(name, &payload).map_err(persist_error)?;
-        Ok((generation, bytes))
+        Ok((world.generation, snapshot_world(store, name, &world)?))
     }
 
-    /// `checkpoint`: snapshots every resident world and rewrites the
-    /// manifest to the current registry state, with snapshot
-    /// pointers. A restart after a checkpoint reloads every world from
-    /// its snapshot. Returns `(worlds, total snapshot bytes)`.
-    /// Requires an attached store.
+    /// `checkpoint`: snapshots every resident world like
+    /// [`save`](WorldManager::save), then rewrites the manifest as
+    /// folded, so a drain also carries an earlier failed write to
+    /// disk. A restart after a checkpoint reloads every world from its
+    /// snapshot. Returns `(worlds, total snapshot bytes)`. Requires an
+    /// attached store.
     pub fn checkpoint(&self) -> Result<(usize, u64), TenancyError> {
         let store = self.require_store()?;
-        let (worlds, next_generation) = {
-            let reg = self.lock();
-            let worlds: Vec<(String, WorldSpec, u64, Arc<QueryEngine>)> = reg
-                .worlds
-                .iter()
-                .map(|(name, e)| (name.clone(), e.spec, e.generation, Arc::clone(&e.engine)))
-                .collect();
-            // The store convention is "next unassigned"; the registry
-            // counter holds the last assigned generation.
-            (worlds, reg.next_generation + 1)
-        };
+        let worlds = self.lock().worlds.clone();
         let mut total_bytes = 0u64;
-        let mut manifest = Manifest {
-            next_generation,
-            ..Manifest::default()
-        };
-        for (name, spec, generation, engine) in worlds {
-            let payload = persist::export_snapshot(&engine, spec);
-            let (file, bytes) = store
-                .save_snapshot(&name, &payload)
-                .map_err(persist_error)?;
-            total_bytes += bytes;
-            let entry = ManifestEntry {
-                spec: persist::stored_spec(spec),
-                generation,
-                snapshot: Some(file),
-            };
-            manifest.worlds.insert(name, entry);
+        for (name, world) in &worlds {
+            total_bytes += snapshot_world(store, name, world)?;
         }
-        store.checkpoint(&manifest).map_err(persist_error)?;
-        Ok((manifest.worlds.len(), total_bytes))
+        store.apply(&[]).map_err(persist_error)?;
+        Ok((worlds.len(), total_bytes))
     }
 
     /// Warm-restart install: rebuilds a recovered world on a detached
@@ -1061,6 +1056,15 @@ impl WorldManager {
     }
 }
 
+/// Exports one world's snapshot and writes it as `name`'s file, outside
+/// the registry lock: a snapshot of a busy world must not stall
+/// resolves on other worlds. Returns the file's size in bytes.
+fn snapshot_world(store: &WorldStore, name: &str, world: &WorldEntry) -> Result<u64, TenancyError> {
+    let payload = persist::export_snapshot(&world.engine, world.spec);
+    let (_file, bytes) = store.save_snapshot(name, &payload).map_err(persist_error)?;
+    Ok(bytes)
+}
+
 // Tenancy is the concurrency boundary of the service; prove at compile
 // time it can cross threads.
 const _: () = {
@@ -1213,6 +1217,34 @@ mod tests {
             .and_then(|s| s.recover())
             .expect("reopen");
         assert_eq!(on_disk.worlds.into_keys().collect::<Vec<_>>(), ["c", "d"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The lock order, pinned: an evict takes the manifest lock before
+    /// the registry lock. While the manifest lock is held elsewhere the
+    /// evict has changed nothing (and resolves still run), and it
+    /// completes once that lock is released.
+    #[test]
+    fn an_evict_waits_for_the_manifest_lock_before_the_registry_lock() {
+        let dir =
+            std::env::temp_dir().join(format!("biorank-tenancy-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mgr = WorldManager::new(3);
+        mgr.load("a", tiny(1)).expect("load a");
+        let store = Arc::new(WorldStore::open(&dir, mgr.metrics()).expect("open store"));
+        let mgr = Arc::new(mgr.with_store(Arc::clone(&store)).expect("attach"));
+        let before = mgr.list();
+        let txn = store.begin();
+        let evictor = Arc::clone(&mgr);
+        let evict = std::thread::spawn(move || evictor.evict("a"));
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert_eq!(mgr.list(), before, "the evict ran ahead of the manifest");
+        assert!(mgr.resolve(Some("a")).is_ok());
+        assert!(!evict.is_finished());
+        drop(txn);
+        evict.join().expect("evict thread").expect("evict");
+        assert!(mgr.list().iter().all(|w| w.name != "a"));
+        assert!(!store.recover().expect("recover").worlds.contains_key("a"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -537,8 +537,9 @@ pub enum AdminRequest {
         /// Registry name.
         world: String,
     },
-    /// `checkpoint` — snapshot every resident world and rewrite the
-    /// manifest with their snapshot pointers (requires `--data-dir`).
+    /// `checkpoint` — snapshot every resident world as `world.save`
+    /// does, then rewrite the manifest as recorded (requires
+    /// `--data-dir`).
     Checkpoint,
     /// `world.list` — snapshot the registry.
     List,

@@ -38,11 +38,16 @@
 //!
 //! [`WorldStore::open`] reads the manifest once. Each acknowledged
 //! admin transition — a load or swap together with its LRU victims,
-//! an evict, a checkpoint — folds its [`WalOp`]s into that in-memory
-//! manifest and rewrites the whole file through the atomic container
-//! writer ([`WorldStore::apply`]) before the ack goes out. A crash
-//! leaves the manifest before or after the transition, never between
-//! its ops, and recovery ([`WorldStore::recover`]) reads it back.
+//! an evict — takes the manifest lock ([`WorldStore::begin`]) before
+//! it changes the registry, then folds its [`WalOp`]s into that
+//! in-memory manifest and rewrites the whole file through the atomic
+//! container writer ([`ManifestTxn::commit`]) before the ack goes out.
+//! So the file follows the registry in the order it changed, and a
+//! crash leaves it before or after a transition, never between its
+//! ops. A checkpoint writes every world's snapshot, then the manifest
+//! as folded. The manifest names no snapshot files: recovery
+//! ([`WorldStore::recover`]) gives each world its `<world>.snap` when
+//! that file exists.
 //!
 //! ## Telemetry
 //!
@@ -65,7 +70,7 @@ pub mod xxh;
 pub use bytes::{Reader, Writer};
 pub use container::{read_container, write_container, FileKind};
 pub use manifest::{Manifest, ManifestEntry, StoredSpec, WalOp};
-pub use store::{escape_name, RecoveredWorld, Recovery, WorldStore, MANIFEST_FILE};
+pub use store::{escape_name, ManifestTxn, RecoveredWorld, Recovery, WorldStore, MANIFEST_FILE};
 pub use xxh::xxh64;
 
 use std::fmt;

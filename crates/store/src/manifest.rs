@@ -1,8 +1,7 @@
 //! The resident-world manifest: the one authoritative record of which
-//! worlds a data directory holds, their specs and generations, and
-//! which snapshot file (if any) backs each one. Every admin op
-//! ([`WalOp`]) folds into it with [`Manifest::apply`], and
-//! [`crate::WorldStore`] rewrites the whole file after each batch.
+//! worlds a data directory holds, with their specs and generations.
+//! Every admin op ([`WalOp`]) folds into it with [`Manifest::apply`],
+//! and [`crate::WorldStore`] rewrites the whole file after each batch.
 
 use std::collections::BTreeMap;
 
@@ -73,7 +72,10 @@ pub struct ManifestEntry {
     pub spec: StoredSpec,
     /// The generation the world held when recorded.
     pub generation: u64,
-    /// Snapshot file name inside the data directory, if one was saved.
+    /// Snapshot file name inside the data directory: set by
+    /// [`crate::WorldStore::recover`] when the world's file exists.
+    /// Written ones decode but are ignored, so the byte format keeps
+    /// the slot.
     pub snapshot: Option<String>,
 }
 
@@ -131,9 +133,9 @@ impl Manifest {
         })
     }
 
-    /// Folds one op into the manifest. A load or swap records the
-    /// world without a snapshot pointer: the spec may have changed, so
-    /// the loader must find and verify the file afresh.
+    /// Folds one op into the manifest. A world is recorded without a
+    /// snapshot file: recovery finds that by name, and the loader
+    /// verifies its spec.
     pub fn apply(&mut self, op: &WalOp) {
         match op {
             WalOp::Load {

@@ -16,8 +16,8 @@ use crate::StoreError;
 /// Manifest file name inside a data directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-/// What [`WorldStore::recover`] returns: the manifest, with snapshot
-/// pointers re-attached.
+/// What [`WorldStore::recover`] returns: the manifest, each world with
+/// its snapshot file when one is on disk.
 pub type Recovery = Manifest;
 
 /// One world of a [`Recovery`].
@@ -47,8 +47,10 @@ fn snapshot_file(world: &str) -> String {
 pub struct WorldStore {
     dir: PathBuf,
     /// The manifest as last written (or as an unwritten fold after a
-    /// failed write). Its lock is held across each whole-file write,
-    /// so two writers never share `MANIFEST.tmp`.
+    /// failed write). Its lock ([`WorldStore::begin`]) is held from
+    /// before the caller's change through the whole-file write, so
+    /// two writers never share `MANIFEST.tmp` and writes land in the
+    /// order the changes were made.
     manifest: Mutex<Manifest>,
     manifest_write: Arc<Counter>,
     snapshot_write: Arc<Counter>,
@@ -84,59 +86,40 @@ impl WorldStore {
         })
     }
 
-    /// The registry state the manifest records. A world without a
-    /// recorded snapshot gets its own `<escaped name>.snap` when that
-    /// file exists: a `world.save` after its last load or swap wrote
-    /// it, and the loader verifies its spec before trusting it.
+    /// The registry state the manifest records. Each world gets its own
+    /// `<escaped name>.snap` when that file exists (a `world.save` or a
+    /// checkpoint wrote it) and no snapshot otherwise, whatever pointer
+    /// an older manifest carries; the loader verifies the file's spec
+    /// before trusting it.
     pub fn recover(&self) -> crate::Result<Recovery> {
-        let mut recovery = self.lock().clone();
+        let mut recovery = self.begin().manifest.clone();
         for (name, world) in &mut recovery.worlds {
-            if world.snapshot.is_none() {
-                let file = snapshot_file(name);
-                world.snapshot = self.dir.join(&file).exists().then_some(file);
-            }
+            let file = snapshot_file(name);
+            world.snapshot = self.dir.join(&file).exists().then_some(file);
         }
         Ok(recovery)
     }
 
-    /// Folds `ops` into the manifest and writes it whole, atomically
-    /// and fsync'd: a crash leaves the state before the batch or after
-    /// it. Callers acknowledge the ops only after this succeeds; after
-    /// a failed write the ops stay folded in memory for the next one.
-    pub fn apply(&self, ops: &[WalOp]) -> crate::Result<()> {
-        let mut manifest = self.lock();
-        for op in ops {
-            manifest.apply(op);
+    /// Takes the manifest lock. A caller that changes the state the
+    /// manifest records takes it before its own lock on that state and
+    /// commits after releasing it, so manifest writes land in the order
+    /// the changes were made.
+    pub fn begin(&self) -> ManifestTxn<'_> {
+        ManifestTxn {
+            store: self,
+            manifest: self.manifest.lock().expect("store manifest"),
         }
-        self.write(&manifest)
+    }
+
+    /// [`begin`](WorldStore::begin) then [`commit`](ManifestTxn::commit)
+    /// `ops`; with no ops it rewrites the manifest as folded so far.
+    pub fn apply(&self, ops: &[WalOp]) -> crate::Result<()> {
+        self.begin().commit(ops)
     }
 
     /// [`apply`](WorldStore::apply) of one op.
     pub fn append(&self, op: &WalOp) -> crate::Result<()> {
         self.apply(std::slice::from_ref(op))
-    }
-
-    /// Replaces the manifest with `manifest` (snapshot pointers
-    /// included) and writes it like [`apply`](WorldStore::apply) does.
-    pub fn checkpoint(&self, manifest: &Manifest) -> crate::Result<()> {
-        let mut current = self.lock();
-        current.clone_from(manifest);
-        self.write(&current)
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Manifest> {
-        self.manifest.lock().expect("store manifest")
-    }
-
-    /// The one manifest write, under the manifest lock.
-    fn write(&self, manifest: &Manifest) -> crate::Result<()> {
-        write_container(
-            &self.dir.join(MANIFEST_FILE),
-            FileKind::Manifest,
-            &manifest.encode(),
-        )?;
-        self.manifest_write.inc();
-        Ok(())
     }
 
     /// Writes a world snapshot payload atomically, returning the
@@ -166,6 +149,34 @@ impl WorldStore {
             Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(StoreError::Io(e)),
             _ => Ok(()),
         }
+    }
+}
+
+/// The held manifest lock of one admin transition, from
+/// [`WorldStore::begin`] to [`commit`](ManifestTxn::commit). Dropping
+/// it uncommitted writes nothing.
+#[derive(Debug)]
+pub struct ManifestTxn<'a> {
+    store: &'a WorldStore,
+    manifest: MutexGuard<'a, Manifest>,
+}
+
+impl ManifestTxn<'_> {
+    /// Folds `ops` into the manifest and writes it whole, atomically
+    /// and fsync'd: a crash leaves the state before the batch or after
+    /// it. Callers acknowledge the ops only after this succeeds; after
+    /// a failed write the ops stay folded in memory for the next one.
+    pub fn commit(mut self, ops: &[WalOp]) -> crate::Result<()> {
+        for op in ops {
+            self.manifest.apply(op);
+        }
+        write_container(
+            &self.store.dir.join(MANIFEST_FILE),
+            FileKind::Manifest,
+            &self.manifest.encode(),
+        )?;
+        self.store.manifest_write.inc();
+        Ok(())
     }
 }
 
@@ -219,17 +230,27 @@ mod tests {
         }
     }
 
-    /// A one-world manifest, as a checkpoint records it.
-    fn checkpointed(next_generation: u64, seed: u64, snapshot: &str) -> Manifest {
+    /// A one-world manifest as older checkpoints wrote it, snapshot
+    /// pointer included, written straight into `dir`.
+    fn write_checkpointed(dir: &Path, seed: u64, snapshot: &str) {
         let entry = ManifestEntry {
             spec: spec(seed),
             generation: 1,
             snapshot: Some(snapshot.into()),
         };
-        Manifest {
-            next_generation,
+        let manifest = Manifest {
+            next_generation: 2,
             worlds: [("default".to_string(), entry)].into(),
-        }
+        };
+        fs::create_dir_all(dir).unwrap();
+        let path = dir.join(MANIFEST_FILE);
+        write_container(&path, FileKind::Manifest, &manifest.encode()).unwrap();
+    }
+
+    /// The manifest as it is on disk, without recovery's file lookup.
+    fn on_disk(dir: &Path) -> Manifest {
+        let payload = read_container(&dir.join(MANIFEST_FILE), FileKind::Manifest).unwrap();
+        Manifest::decode(&payload).unwrap()
     }
 
     #[test]
@@ -303,36 +324,47 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A manifest that an older checkpoint wrote, pointer included,
+    /// still opens, and recovery ignores the pointer: a world gets its
+    /// own `<name>.snap` if and only if that file exists. A checkpoint —
+    /// every world's snapshot, then the fold rewritten — is one
+    /// manifest write that keeps the recorded worlds.
     #[test]
     fn checkpoint_compacts_wal_into_manifest() {
         let dir = tmpdir("ckpt");
+        write_checkpointed(&dir, 7, "gone.snap");
         let reg = registry();
         let store = WorldStore::open(&dir, &reg).unwrap();
-        store.append(&load("gone", 7, 1)).unwrap();
-        store
-            .checkpoint(&checkpointed(2, 7, "missing.snap"))
-            .unwrap();
-        // The checkpoint replaced the manifest, its pointer included,
-        // though no snapshot file was written.
+        // The pointer names an existing file, but not the world's own.
+        store.save_snapshot("gone", b"payload").unwrap();
+        let rec = store.recover().unwrap();
+        assert_eq!(rec.worlds["default"].spec, spec(7));
+        assert_eq!(rec.worlds["default"].snapshot, None);
+
+        store.save_snapshot("default", b"payload").unwrap();
+        store.apply(&[]).unwrap();
+        assert_eq!(reg.snapshot().counters["store.manifest_write"], 1);
         let rec = WorldStore::open(&dir, &reg).unwrap().recover().unwrap();
         assert_eq!(rec.next_generation, 2);
         assert_eq!(rec.worlds.keys().collect::<Vec<_>>(), ["default"]);
-        let pointer = rec.worlds["default"].snapshot.as_deref();
-        assert_eq!(pointer, Some("missing.snap"));
-        assert_eq!(reg.snapshot().counters["store.manifest_write"], 2);
+        let file = rec.worlds["default"].snapshot.as_deref();
+        assert_eq!(file, Some("default.snap"));
+
+        store.remove_snapshot("default").unwrap();
+        assert_eq!(store.recover().unwrap().worlds["default"].snapshot, None);
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A swap records its world without a pointer, so an older
+    /// checkpoint's pointer is gone from the file after it. The
+    /// world's own snapshot file, written under the old spec, is still
+    /// reported by name: the importer's spec check is what refuses it.
     #[test]
     fn wal_op_after_checkpoint_clears_stale_snapshot_pointer() {
         let dir = tmpdir("stale");
-        let reg = registry();
-        let store = WorldStore::open(&dir, &reg).unwrap();
-        store
-            .checkpoint(&checkpointed(2, 7, "missing.snap"))
-            .unwrap();
-        // A post-checkpoint swap changes the spec; the old snapshot
-        // pointer must not survive (and the file doesn't exist).
+        write_checkpointed(&dir, 7, "default.snap");
+        let store = WorldStore::open(&dir, &registry()).unwrap();
+        store.save_snapshot("default", b"payload").unwrap();
         store
             .append(&WalOp::Swap {
                 world: "default".into(),
@@ -340,11 +372,16 @@ mod tests {
                 generation: 5,
             })
             .unwrap();
+        let recorded = &on_disk(&dir).worlds["default"];
+        assert_eq!((recorded.spec, recorded.snapshot.as_ref()), (spec(8), None));
         let rec = store.recover().unwrap();
         assert_eq!(rec.worlds["default"].spec, spec(8));
         assert_eq!(rec.worlds["default"].generation, 5);
-        assert_eq!(rec.worlds["default"].snapshot, None);
+        let file = rec.worlds["default"].snapshot.as_deref();
+        assert_eq!(file, Some("default.snap"));
         assert_eq!(rec.next_generation, 6);
+        store.remove_snapshot("default").unwrap();
+        assert_eq!(store.recover().unwrap().worlds["default"].snapshot, None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -379,7 +416,7 @@ mod tests {
         let reg = registry();
         WorldStore::open(&dir, &reg)
             .unwrap()
-            .checkpoint(&checkpointed(2, 7, "default.snap"))
+            .append(&load("default", 7, 1))
             .unwrap();
         let manifest = fs::read(dir.join(MANIFEST_FILE)).unwrap();
         let wal = dir.join("wal.log");

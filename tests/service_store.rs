@@ -161,7 +161,7 @@ fn restarted_server_answers_bit_identically_from_snapshots() {
     // ---- Second life: recover the directory, restore in background.
     let (manager2, recovery) = reboot(&dir, 4);
     assert_eq!(recovery.worlds.len(), 2);
-    // The checkpoint compacted the log: nothing left to replay.
+    // The checkpoint wrote both worlds' snapshot files.
     assert!(recovery.worlds.values().all(|w| w.snapshot.is_some()));
     let deadline = Instant::now() + Duration::from_secs(120);
     while manager2.resolve(Some("aux")).is_err() {
