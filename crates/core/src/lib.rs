@@ -107,4 +107,33 @@ mod tests {
             }
         }
     }
+
+    /// Every workspace `members` path has a `Cargo.toml`, and every
+    /// `[workspace.dependencies]` entry is used by some member: a dead
+    /// line would outlive the code it once served.
+    #[test]
+    fn every_workspace_member_and_dependency_is_live() {
+        let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+        let workspace = include_str!("../../../Cargo.toml");
+        let section = |header: &str, end: &str| {
+            let body = workspace.split_once(header).expect(header).1;
+            let body = body.split_once(end).map_or(body, |(body, _)| body);
+            let lines = body.lines().map(str::trim);
+            lines.filter(|l| !l.is_empty() && !l.starts_with('#'))
+        };
+        let members: Vec<String> = section("members = [", "]")
+            .map(|m| {
+                let path = format!("{root}/{}/Cargo.toml", m.trim_matches([',', '"']));
+                std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+            })
+            .collect();
+        for line in section("[workspace.dependencies]", "\n[") {
+            let dep = line.split([' ', '=']).next().unwrap();
+            let used = |manifest: &String| {
+                let mut lines = manifest.lines();
+                lines.any(|l| l.starts_with(&format!("{dep} =")))
+            };
+            assert!(members.iter().any(used), "no member uses {dep}");
+        }
+    }
 }

@@ -1,76 +1,50 @@
 //! Property tests for the adaptive bound-certified runner.
 //!
-//! Two invariants across random DAG query graphs:
+//! Three invariants across random DAG query graphs:
 //!
 //! 1. **Determinism.** An adaptive run is bit-identical to the fixed
 //!    run of exactly the trials it spent — in particular, a run with
 //!    ceiling `T` that never certifies early equals the fixed-`T` run
-//!    bit for bit (the ISSUE's contract), because the incremental
-//!    schedule is a function of `(trials, seed)` alone.
+//!    bit for bit, because the incremental schedule is a function of
+//!    `(trials, seed)` alone.
 //! 2. **Correctness of certified rankings.** When a run certifies,
 //!    every answer pair whose *exact* reliabilities are separated by
 //!    at least the certificate's ε must be ordered like the exact
-//!    scores (the δ failure budget is absorbed by fixed seeds: these
-//!    cases are deterministic replays, chosen to pass, and any
-//!    regression that breaks ordering is a real bug, not noise).
+//!    scores. A certificate may miss with probability δ, so this can
+//!    fail on noise alone. The cases replay seeds from the fixed base
+//!    `FIRST_SEED`: in its first 2 000 seeds neither certified-ordering
+//!    property failed once (a per-case false-alarm rate below 0.15 %
+//!    at 95 % confidence), so a failing case here is a bug until its
+//!    seed shows otherwise.
 //! 3. **Top-k certification** obeys both of the above restricted to
 //!    the certified prefix: bit-identity to the fixed run of
 //!    `trials_used`, never stopping later than the full rule, and a
 //!    certified top-k *set* that matches exact enumeration whenever
 //!    the boundary separation is at least the certified ε.
 
-use biorank_graph::{exact, NodeId, Prob, ProbGraph, QueryGraph};
-use biorank_rank::{AdaptiveRunner, CertificateMode, Estimator, Ranker, TraversalMc, WordMc};
-use proptest::prelude::*;
+#[path = "../../../tests/common/cases.rs"]
+mod cases;
+#[path = "../../../tests/common/small_graph.rs"]
+mod small_graph;
 
-/// Small random DAG query graphs with **two** answer nodes (so the
-/// runner always has a gap to certify), probabilities quantized to
-/// eighths, within the enumeration budget of `exact::enumerate`.
-fn small_dag() -> impl Strategy<Value = QueryGraph> {
-    (3usize..=7)
-        .prop_flat_map(|n| {
-            let probs = proptest::collection::vec(0u8..=8, n);
-            let edges = proptest::collection::vec(((0usize..n), (0usize..n), 1u8..=8), 1..=12);
-            (Just(n), probs, edges)
-        })
-        .prop_map(|(n, probs, edges)| {
-            let mut g = ProbGraph::new();
-            let ids: Vec<NodeId> = (0..n)
-                .map(|i| {
-                    let p = if i == 0 {
-                        Prob::ONE
-                    } else {
-                        Prob::new(f64::from(probs[i]) / 8.0).unwrap()
-                    };
-                    g.add_node(p)
-                })
-                .collect();
-            for (u, v, q) in edges {
-                let (u, v) = (u.min(v), u.max(v));
-                if u != v {
-                    let _ = g.add_edge(ids[u], ids[v], Prob::new(f64::from(q) / 8.0).unwrap());
-                }
-            }
-            QueryGraph::new(g, ids[0], vec![ids[n - 2], ids[n - 1]])
-                .expect("source and targets are live")
-        })
-        .prop_filter("stay within enumeration budget", |q| {
-            let g = q.graph();
-            let uncertain = g
-                .nodes()
-                .filter(|&x| {
-                    let p = g.node_p(x).get();
-                    p > 0.0 && p < 1.0
-                })
-                .count()
-                + g.edges()
-                    .filter(|&e| {
-                        let v = g.edge_q(e).get();
-                        v > 0.0 && v < 1.0
-                    })
-                    .count();
-            uncertain <= 18
-        })
+use biorank_graph::{exact, NodeId, QueryGraph};
+use biorank_rank::{AdaptiveRunner, CertificateMode, Estimator, Ranker, TraversalMc, WordMc};
+
+/// Case `i` of each property runs seed `FIRST_SEED + i`; a failure
+/// names its seed, and `RERUN = Some(seed)` runs that case alone.
+const CASES: u64 = 32;
+const FIRST_SEED: u64 = 0xADA9_0000;
+const RERUN: Option<u64> = None;
+
+/// Runs `property` on 32 small DAG query graphs (3–7 nodes, 1–12
+/// forward edges) with **two** answers, the last two nodes, so the
+/// runner always has a gap to certify.
+fn for_each_dag(property: impl Fn(QueryGraph)) {
+    cases::run(CASES, FIRST_SEED, RERUN, |_, rng| {
+        let (g, ids) = small_graph::small_graph(rng, 3..=7, 1..=12, true);
+        let answers = ids[ids.len() - 2..].to_vec();
+        property(QueryGraph::new(g, ids[0], answers).expect("source and targets are live"));
+    });
 }
 
 fn assert_bits(a: &[f64], b: &[f64]) {
@@ -80,24 +54,24 @@ fn assert_bits(a: &[f64], b: &[f64]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Adaptive scores ≡ fixed scores at `trials_used`, for both the
-    /// word-parallel and the traversal engine. With a tight ε and a
-    /// small ceiling this exercises both early-certified stops and
-    /// full ceiling runs (the latter being exactly "never certifies
-    /// early ⇒ bit-identical to fixed-T").
-    #[test]
-    fn adaptive_equals_fixed_run_of_trials_used(q in small_dag()) {
+/// Adaptive scores ≡ fixed scores at `trials_used`, for both the
+/// word-parallel and the traversal engine. With a tight ε and a
+/// small ceiling this exercises both early-certified stops and
+/// full ceiling runs (the latter being exactly "never certifies
+/// early ⇒ bit-identical to fixed-T").
+#[test]
+fn adaptive_equals_fixed_run_of_trials_used() {
+    for_each_dag(|q| {
         const CEILING: u32 = 512;
         let out = AdaptiveRunner::new(WordMc::new(CEILING, 9), 0.005, 0.01)
             .run(&q)
             .unwrap();
         if !out.certificate.certified {
-            prop_assert_eq!(out.certificate.trials_used, CEILING);
+            assert_eq!(out.certificate.trials_used, CEILING);
         }
-        let fixed = WordMc::new(out.certificate.trials_used, 9).score(&q).unwrap();
+        let fixed = WordMc::new(out.certificate.trials_used, 9)
+            .score(&q)
+            .unwrap();
         assert_bits(out.scores.as_slice(), fixed.as_slice());
 
         let out = AdaptiveRunner::new(TraversalMc::new(CEILING, 9), 0.005, 0.01)
@@ -107,46 +81,57 @@ proptest! {
             .score(&q)
             .unwrap();
         assert_bits(out.scores.as_slice(), fixed.as_slice());
-    }
+    });
+}
 
-    /// Certified rankings agree with the exact top-k on every pair the
-    /// certificate claims to resolve: answers whose exact scores are
-    /// separated by at least the certified ε appear in exact-score
-    /// order.
-    #[test]
-    fn certified_ranking_matches_exact_above_epsilon(q in small_dag()) {
+/// Certified rankings agree with the exact top-k on every pair the
+/// certificate claims to resolve: answers whose exact scores are
+/// separated by at least the certified ε appear in exact-score
+/// order.
+#[test]
+fn certified_ranking_matches_exact_above_epsilon() {
+    for_each_dag(|q| {
         let engine = WordMc::new(10_000, 4);
         let out = AdaptiveRunner::new(engine, 0.02, 0.05).run(&q).unwrap();
         // The spent trials never exceed what a fixed Theorem 3.1
         // schedule would have used for this (ε, δ).
-        prop_assert!(u64::from(out.certificate.trials_used)
-            <= biorank_rank::bounds::trials_needed(0.02, 0.05).unwrap() + u64::from(biorank_rank::BATCH_TRIALS));
+        assert!(
+            u64::from(out.certificate.trials_used)
+                <= biorank_rank::bounds::trials_needed(0.02, 0.05).unwrap()
+                    + u64::from(biorank_rank::BATCH_TRIALS)
+        );
         if !out.certificate.certified {
-            return Ok(());
+            return;
         }
         let exact_of = |a: NodeId| exact::enumerate(q.graph(), q.source(), a).unwrap();
         let (a, b) = (q.answers()[0], q.answers()[1]);
         let (ta, tb) = (exact_of(a), exact_of(b));
         if (ta - tb).abs() >= out.certificate.epsilon {
             let est = &out.scores;
-            prop_assert_eq!(
+            assert_eq!(
                 ta > tb,
                 est.get(a) > est.get(b),
                 "exact {} vs {} but estimates {} vs {} (certified ε {})",
-                ta, tb, est.get(a), est.get(b), out.certificate.epsilon
+                ta,
+                tb,
+                est.get(a),
+                est.get(b),
+                out.certificate.epsilon
             );
         }
         // Sanity: the trait's own view agrees with the Ranker view of
         // the same engine at the spent trial count.
-        prop_assert_eq!(engine.trials(), 10_000);
-    }
+        assert_eq!(engine.trials(), 10_000);
+    });
+}
 
-    /// A top-1-certified run is bit-identical to the fixed run of its
-    /// `trials_used`, and — the prefix rule checks a subset of the
-    /// full rule's gaps — never spends more trials than the full run
-    /// of the same `(engine, ε, δ)`.
-    #[test]
-    fn top_k_adaptive_equals_fixed_and_never_outspends_full(q in small_dag()) {
+/// A top-1-certified run is bit-identical to the fixed run of its
+/// `trials_used`, and — the prefix rule checks a subset of the
+/// full rule's gaps — never spends more trials than the full run
+/// of the same `(engine, ε, δ)`.
+#[test]
+fn top_k_adaptive_equals_fixed_and_never_outspends_full() {
+    for_each_dag(|q| {
         const CEILING: u32 = 512;
         for seed in [9u64, 23] {
             let top1 = AdaptiveRunner::new(WordMc::new(CEILING, seed), 0.005, 0.01)
@@ -155,7 +140,7 @@ proptest! {
                 .unwrap();
             // With two answers, top-1 checks the single gap — exactly
             // the full rule — so it is stamped as full certification.
-            prop_assert_eq!(top1.certificate.mode, CertificateMode::Full);
+            assert_eq!(top1.certificate.mode, CertificateMode::Full);
             let fixed = WordMc::new(top1.certificate.trials_used, seed)
                 .score(&q)
                 .unwrap();
@@ -164,7 +149,7 @@ proptest! {
             let full = AdaptiveRunner::new(WordMc::new(CEILING, seed), 0.005, 0.01)
                 .run(&q)
                 .unwrap();
-            prop_assert!(
+            assert!(
                 top1.certificate.trials_used <= full.certificate.trials_used,
                 "top-1 spent {} > full {}",
                 top1.certificate.trials_used,
@@ -180,32 +165,38 @@ proptest! {
                 .unwrap();
             assert_bits(top1.scores.as_slice(), fixed.as_slice());
         }
-    }
+    });
+}
 
-    /// The certified top-k **set** matches exact enumeration within
-    /// the bound's guarantee: with two answers and k = 1, whenever the
-    /// exact separation is at least the certified ε, the estimated
-    /// top answer is the exact top answer.
-    #[test]
-    fn certified_top_k_set_matches_exact_above_epsilon(q in small_dag()) {
+/// The certified top-k **set** matches exact enumeration within
+/// the bound's guarantee: with two answers and k = 1, whenever the
+/// exact separation is at least the certified ε, the estimated
+/// top answer is the exact top answer.
+#[test]
+fn certified_top_k_set_matches_exact_above_epsilon() {
+    for_each_dag(|q| {
         let out = AdaptiveRunner::new(WordMc::new(10_000, 4), 0.02, 0.05)
             .with_top_k(1)
             .run(&q)
             .unwrap();
         if !out.certificate.certified {
-            return Ok(());
+            return;
         }
         let exact_of = |a: NodeId| exact::enumerate(q.graph(), q.source(), a).unwrap();
         let (a, b) = (q.answers()[0], q.answers()[1]);
         let (ta, tb) = (exact_of(a), exact_of(b));
         if (ta - tb).abs() >= out.certificate.epsilon {
             let est = &out.scores;
-            prop_assert_eq!(
+            assert_eq!(
                 ta > tb,
                 est.get(a) > est.get(b),
                 "exact top answer differs: exact {} vs {} but estimates {} vs {} (certified ε {})",
-                ta, tb, est.get(a), est.get(b), out.certificate.epsilon
+                ta,
+                tb,
+                est.get(a),
+                est.get(b),
+                out.certificate.epsilon
             );
         }
-    }
+    });
 }

@@ -6,99 +6,69 @@
 //! never changes the semantics: on arbitrary small DAG query graphs the
 //! estimate must sit within a 3σ binomial bound of the exact
 //! possible-worlds reliability, and the traversal engine must agree
-//! with it statistically on the same inputs.
+//! with it statistically on the same inputs. Both bounds are 3σ, so
+//! noise alone fails a case now and then: of the first 2 000 seeds from
+//! `FIRST_SEED`, one (`0x3c0d075f`) fails the engines' agreement.
 
-use biorank_graph::{exact, NodeId, Prob, ProbGraph, QueryGraph};
+#[path = "../../../tests/common/cases.rs"]
+mod cases;
+#[path = "../../../tests/common/small_graph.rs"]
+mod small_graph;
+
+use biorank_graph::{exact, QueryGraph};
 use biorank_rank::{Ranker, TraversalMc, WordMc};
-use proptest::prelude::*;
 
 const TRIALS: u32 = 8_192;
 
-/// Small random DAG query graphs (edges only run from lower to higher
-/// node ids) with probabilities quantized to eighths, kept within the
-/// enumeration budget of `exact::enumerate`.
-fn small_dag() -> impl Strategy<Value = QueryGraph> {
-    (2usize..=7)
-        .prop_flat_map(|n| {
-            let probs = proptest::collection::vec(0u8..=8, n);
-            let edges = proptest::collection::vec(((0usize..n), (0usize..n), 1u8..=8), 1..=12);
-            (Just(n), probs, edges)
-        })
-        .prop_map(|(n, probs, edges)| {
-            let mut g = ProbGraph::new();
-            let ids: Vec<NodeId> = (0..n)
-                .map(|i| {
-                    let p = if i == 0 {
-                        Prob::ONE // source certain, like the query node
-                    } else {
-                        Prob::new(f64::from(probs[i]) / 8.0).unwrap()
-                    };
-                    g.add_node(p)
-                })
-                .collect();
-            for (u, v, q) in edges {
-                // Orient every edge forward: the graph is a DAG by
-                // construction, so WordMc takes the topological
-                // single-pass fast path.
-                let (u, v) = (u.min(v), u.max(v));
-                if u != v {
-                    let _ = g.add_edge(ids[u], ids[v], Prob::new(f64::from(q) / 8.0).unwrap());
-                }
-            }
-            let target = ids[n - 1];
-            QueryGraph::new(g, ids[0], vec![target]).expect("source and target are live")
-        })
-        .prop_filter("stay within enumeration budget", |q| {
-            let g = q.graph();
-            let uncertain = g
-                .nodes()
-                .filter(|&x| {
-                    let p = g.node_p(x).get();
-                    p > 0.0 && p < 1.0
-                })
-                .count()
-                + g.edges()
-                    .filter(|&e| {
-                        let v = g.edge_q(e).get();
-                        v > 0.0 && v < 1.0
-                    })
-                    .count();
-            uncertain <= 18
-        })
+/// Case `i` of each property runs seed `FIRST_SEED + i`; a failure
+/// names its seed, and `RERUN = Some(seed)` runs that case alone.
+const CASES: u64 = 48;
+const FIRST_SEED: u64 = 0x3C0D_0000;
+const RERUN: Option<u64> = None;
+
+/// Runs `property` on 48 small DAG query graphs (2–7 nodes, 1–12
+/// edges, every edge oriented forward so WordMc takes its topological
+/// single-pass path) whose one answer is the last node.
+fn for_each_dag(property: impl Fn(QueryGraph)) {
+    cases::run(CASES, FIRST_SEED, RERUN, |_, rng| {
+        let (g, ids) = small_graph::small_graph(rng, 2..=7, 1..=12, true);
+        let target = ids[ids.len() - 1];
+        property(QueryGraph::new(g, ids[0], vec![target]).expect("source and target are live"));
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The word-parallel estimate sits within 3σ of exact reliability
-    /// (binomial standard deviation at the configured trial count).
-    #[test]
-    fn word_mc_within_three_sigma_of_exact(q in small_dag()) {
+/// The word-parallel estimate sits within 3σ of exact reliability
+/// (binomial standard deviation at the configured trial count).
+#[test]
+fn word_mc_within_three_sigma_of_exact() {
+    for_each_dag(|q| {
         let target = q.answers()[0];
         let truth = exact::enumerate(q.graph(), q.source(), target).unwrap();
         let est = WordMc::new(TRIALS, 1).score(&q).unwrap().get(target);
         let sigma = (truth * (1.0 - truth) / f64::from(TRIALS)).sqrt();
         // The 1e-9 floor covers the degenerate σ = 0 cases (truth 0 or
         // 1), where the estimate must be exact.
-        prop_assert!(
+        assert!(
             (est - truth).abs() <= 3.0 * sigma + 1e-9,
             "word {est} vs exact {truth} (sigma {sigma})"
         );
-    }
+    });
+}
 
-    /// Traversal and word engines estimate the same quantity: their
-    /// estimates agree within a combined 3σ band around each other.
-    #[test]
-    fn word_and_traversal_agree_statistically(q in small_dag()) {
+/// Traversal and word engines estimate the same quantity: their
+/// estimates agree within a combined 3σ band around each other.
+#[test]
+fn word_and_traversal_agree_statistically() {
+    for_each_dag(|q| {
         let target = q.answers()[0];
         let word = WordMc::new(TRIALS, 1).score(&q).unwrap().get(target);
         let trav = TraversalMc::new(TRIALS, 2).score(&q).unwrap().get(target);
         // Bound the spread via the worst-case binomial σ at p = 1/2;
         // both engines contribute noise, hence the factor √2.
         let sigma = (0.25 / f64::from(TRIALS)).sqrt() * std::f64::consts::SQRT_2;
-        prop_assert!(
+        assert!(
             (word - trav).abs() <= 3.0 * sigma + 1e-9,
             "word {word} vs traversal {trav}"
         );
-    }
+    });
 }

@@ -14,10 +14,20 @@
 //!    thread count) produce byte-identical scores and identical
 //!    adaptive certificates.
 
+#[path = "../../../tests/common/cases.rs"]
+mod cases;
+#[path = "../../../tests/common/small_graph.rs"]
+mod small_graph;
+
 use biorank_graph::generate::{self, WorkflowParams};
-use biorank_graph::{NodeId, Prob, ProbGraph, QueryGraph};
+use biorank_graph::{Prob, ProbGraph, QueryGraph};
 use biorank_rank::{AdaptiveRunner, Ranker, WordMc};
-use proptest::prelude::*;
+
+/// Case `i` of each property runs seed `FIRST_SEED + i`; a failure
+/// names its seed, and `RERUN = Some(seed)` runs that case alone.
+const CASES: u64 = 32;
+const FIRST_SEED: u64 = 0x1A4E_0000;
+const RERUN: Option<u64> = None;
 
 fn p(v: f64) -> Prob {
     Prob::new(v).unwrap()
@@ -191,78 +201,53 @@ fn golden_adaptive_certificates_survive_every_lane_width() {
     }
 }
 
-/// Small random DAG query graphs (edges oriented low → high id), the
-/// same shape family as `prop_word.rs` but with multi-answer sets so
-/// adaptive certification has gaps to check.
-fn small_dag() -> impl Strategy<Value = QueryGraph> {
-    (3usize..=8)
-        .prop_flat_map(|n| {
-            let probs = proptest::collection::vec(0u8..=8, n);
-            let edges = proptest::collection::vec(((0usize..n), (0usize..n), 1u8..=8), 1..=14);
-            (Just(n), probs, edges)
-        })
-        .prop_map(|(n, probs, edges)| {
-            let mut g = ProbGraph::new();
-            let ids: Vec<NodeId> = (0..n)
-                .map(|i| {
-                    let node_p = if i == 0 {
-                        Prob::ONE
-                    } else {
-                        Prob::new(f64::from(probs[i]) / 8.0).unwrap()
-                    };
-                    g.add_node(node_p)
-                })
-                .collect();
-            for (u, v, q) in edges {
-                let (u, v) = (u.min(v), u.max(v));
-                if u != v {
-                    let _ = g.add_edge(ids[u], ids[v], Prob::new(f64::from(q) / 8.0).unwrap());
-                }
-            }
-            // Every non-source node is an answer: rank vectors cover
-            // the whole graph, maximizing demux surface.
-            let answers = ids[1..].to_vec();
-            QueryGraph::new(g, ids[0], answers).expect("source and answers are live")
-        })
+/// A small random DAG query graph (3–8 nodes, 1–14 edges oriented
+/// low → high id), the same shape family as `prop_word.rs` but with
+/// every non-source node an answer: rank vectors cover the whole
+/// graph, maximizing demux surface, and adaptive certification has
+/// gaps to check.
+fn small_dag(rng: &mut cases::Rng) -> QueryGraph {
+    let (g, ids) = small_graph::small_graph(rng, 3..=8, 1..=14, true);
+    QueryGraph::new(g, ids[0], ids[1..].to_vec()).expect("source and answers are live")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Lane width is invisible: widths 1, 4, and 8 — and every thread
-    /// split of width 8 — produce byte-identical score vectors.
-    #[test]
-    fn lane_width_and_threads_never_change_score_bits(
-        q in small_dag(),
-        trials in (0usize..3).prop_map(|i| [64u32, 129, 1000][i]),
-        seed in 0u64..=u64::MAX,
-        threads in 1usize..=4,
-    ) {
+/// Lane width is invisible: widths 1, 4, and 8 — and every thread
+/// split of width 8 — produce byte-identical score vectors.
+#[test]
+fn lane_width_and_threads_never_change_score_bits() {
+    cases::run(CASES, FIRST_SEED, RERUN, |_, rng| {
+        let q = small_dag(rng);
+        let trials = [64u32, 129, 1000][rng.range(0..3)];
+        let (seed, threads) = (rng.next_u64(), rng.range(1..=4));
         let base = WordMc::new(trials, seed).score(&q).unwrap();
         let w4 = WordMc::<4>::wide(trials, seed).score(&q).unwrap();
         let w8 = WordMc::<8>::wide(trials, seed).score(&q).unwrap();
-        let w8t = WordMc::<8>::wide(trials, seed).score_parallel(&q, threads).unwrap();
-        prop_assert_eq!(fnv(w4.as_slice()), fnv(base.as_slice()), "width 4 drifted");
-        prop_assert_eq!(fnv(w8.as_slice()), fnv(base.as_slice()), "width 8 drifted");
-        prop_assert_eq!(
-            fnv(w8t.as_slice()), fnv(base.as_slice()),
-            "width 8 x {} threads drifted", threads
+        let w8t = WordMc::<8>::wide(trials, seed)
+            .score_parallel(&q, threads)
+            .unwrap();
+        assert_eq!(fnv(w4.as_slice()), fnv(base.as_slice()), "width 4 drifted");
+        assert_eq!(fnv(w8.as_slice()), fnv(base.as_slice()), "width 8 drifted");
+        assert_eq!(
+            fnv(w8t.as_slice()),
+            fnv(base.as_slice()),
+            "width 8 x {} threads drifted",
+            threads
         );
-    }
+    });
+}
 
-    /// Adaptive runs stop at the same batch with the same certificate
-    /// and the same score bits at every lane width: the runner sees
-    /// identical 64-trial step boundaries regardless of how many
-    /// lanes a block propagates.
-    #[test]
-    fn lane_width_never_changes_adaptive_certificates(
-        q in small_dag(),
-        seed in 0u64..=u64::MAX,
-        top_k in (0usize..3).prop_map(|i| [None, Some(1usize), Some(2)][i]),
-    ) {
+/// Adaptive runs stop at the same batch with the same certificate
+/// and the same score bits at every lane width: the runner sees
+/// identical 64-trial step boundaries regardless of how many
+/// lanes a block propagates.
+#[test]
+fn lane_width_never_changes_adaptive_certificates() {
+    cases::run(CASES, FIRST_SEED, RERUN, |_, rng| {
+        let (q, seed) = (small_dag(rng), rng.next_u64());
+        let top_k = [None, Some(1usize), Some(2)][rng.range(0..3)];
         let base = adaptive_run(WordMc::new(2048, seed), 0.05, top_k, &q);
         let wide = adaptive_run(WordMc::<8>::wide(2048, seed), 0.05, top_k, &q);
-        prop_assert_eq!(wide.certificate, base.certificate);
-        prop_assert_eq!(fnv(wide.scores.as_slice()), fnv(base.scores.as_slice()));
-    }
+        assert_eq!(wide.certificate, base.certificate);
+        assert_eq!(fnv(wide.scores.as_slice()), fnv(base.scores.as_slice()));
+    });
 }

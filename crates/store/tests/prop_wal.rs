@@ -7,9 +7,9 @@
 //! directory a crash inside that transition's write can leave: a
 //! `MANIFEST.tmp` cut at every length beside the previous manifest,
 //! and a complete one whose rename never happened.
-//!
-//! Every assertion message names its case; set `RERUN` to its seed to
-//! run that case alone.
+
+#[path = "../../../tests/common/cases.rs"]
+mod cases;
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -20,25 +20,11 @@ use biorank_store::{
     escape_name, RecoveredWorld, Recovery, StoredSpec, WalOp, WorldStore, MANIFEST_FILE,
 };
 
-/// Cases per run.
+/// Case `i` runs seed `FIRST_SEED + i`; a failure names its seed,
+/// and `RERUN = Some(seed)` runs that case alone.
 const CASES: u64 = 96;
-/// Case `i` runs seed `FIRST_SEED + i`.
 const FIRST_SEED: u64 = 0xC7A5_0000;
-/// `Some(seed)` runs that one case alone.
 const RERUN: Option<u64> = None;
-
-/// SplitMix64: every case is built from its own seed alone.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) % n
-    }
-}
 
 /// The reference: the acknowledged registry, and the worlds whose
 /// snapshot file is on disk.
@@ -119,8 +105,7 @@ fn crash_points(dir: &Path, before: Option<&[u8]>, want: &Recovery, name: &str) 
     fs::write(&manifest, after).unwrap();
 }
 
-fn run_case(seed: u64) {
-    let mut rng = Rng(seed);
+fn run_case(seed: u64, rng: &mut cases::Rng) {
     let dir = std::env::temp_dir().join(format!(
         "biorank-crash-points-{}-{seed:x}",
         std::process::id()
@@ -128,7 +113,7 @@ fn run_case(seed: u64) {
     let _ = fs::remove_dir_all(&dir);
     let store = WorldStore::open(&dir, &MetricsRegistry::new()).unwrap();
     let mut model = Model::default();
-    let mut name = format!("case seed={seed:#x} (RERUN = Some({seed:#x}) runs it alone):");
+    let mut name = String::from("after");
     for generation in 1..=1 + rng.below(13) {
         // A '/' needs escaping, so snapshot file naming is exercised.
         let world = format!("w/{}", rng.below(4));
@@ -201,8 +186,5 @@ fn run_case(seed: u64) {
 
 #[test]
 fn any_prefix_recovers_consistently() {
-    match RERUN {
-        Some(seed) => run_case(seed),
-        None => (FIRST_SEED..FIRST_SEED + CASES).for_each(run_case),
-    }
+    cases::run(CASES, FIRST_SEED, RERUN, run_case);
 }

@@ -6,40 +6,37 @@
 //! response line or close the connection. A canonical query after
 //! each hostile session proves the server survived it.
 
+#[path = "common/cases.rs"]
+mod cases;
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
-use biorank::mediator::Mediator;
-use biorank::prelude::*;
-use biorank::service::{QueryEngine, ServeOptions, Server, ServerHandle};
-use proptest::prelude::*;
+use biorank::service::{ServeOptions, ServerHandle};
 
-/// One server shared across every proptest case: world generation is
-/// the expensive part, and surviving hundreds of hostile sessions on
-/// one process is exactly the property under test.
+/// Case `i` of each property runs seed `FIRST_SEED + i`; a failure
+/// names its seed, and `RERUN = Some(seed)` runs that case alone.
+const CASES: u64 = 24;
+const FIRST_SEED: u64 = 0x3B1E_0000;
+const RERUN: Option<u64> = None;
+
+/// One server, on the served world, shared across every case: world
+/// generation is the expensive part, and surviving hundreds of hostile
+/// sessions on one process is exactly the property under test.
 const MAX_REQUEST_BYTES: usize = 512;
 
 fn server() -> &'static ServerHandle {
     static HANDLE: OnceLock<ServerHandle> = OnceLock::new();
     HANDLE.get_or_init(|| {
-        let world = World::generate(WorldParams::default());
-        let mediator = Mediator::new(biorank_schema_with_ontology().schema, world.registry());
-        let engine = Arc::new(QueryEngine::new(mediator));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            engine,
-            ServeOptions {
-                workers: 2,
-                max_request_bytes: MAX_REQUEST_BYTES,
-                ..Default::default()
-            },
-        )
-        .expect("bind ephemeral");
-        let handle = server.handle().expect("server handle");
-        std::thread::spawn(move || server.run().expect("server run"));
-        handle
+        let opts = ServeOptions {
+            workers: 2,
+            max_request_bytes: MAX_REQUEST_BYTES,
+            ..Default::default()
+        };
+        common::serve(common::engine(), opts)
     })
 }
 
@@ -59,21 +56,18 @@ enum Line {
     Valid,
 }
 
-fn line_strategy() -> impl Strategy<Value = Line> {
-    // The vendored proptest has no `prop_oneof!`: draw every variant's
-    // payload plus a tag and let the tag pick.
-    (
-        0u8..4,
-        proptest::collection::vec(0u8..=255, 0..96),
-        1usize..VALID_QUERY.len(),
-        MAX_REQUEST_BYTES + 1..MAX_REQUEST_BYTES + 512,
-    )
-        .prop_map(|(tag, garbage, truncate_at, oversize)| match tag {
-            0 => Line::Garbage(garbage),
-            1 => Line::Truncated(truncate_at),
-            2 => Line::Oversized(oversize),
-            _ => Line::Valid,
-        })
+fn byte(rng: &mut cases::Rng) -> u8 {
+    rng.below(256) as u8
+}
+
+/// One hostile line, its variant picked uniformly.
+fn line(rng: &mut cases::Rng) -> Line {
+    match rng.below(4) {
+        0 => Line::Garbage(rng.vec(0..96, byte)),
+        1 => Line::Truncated(rng.range(1..VALID_QUERY.len())),
+        2 => Line::Oversized(rng.range(MAX_REQUEST_BYTES + 1..MAX_REQUEST_BYTES + 512)),
+        _ => Line::Valid,
+    }
 }
 
 impl Line {
@@ -181,21 +175,19 @@ fn assert_server_alive() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn hostile_lines_never_hang_never_kill_the_server(
-        lines in proptest::collection::vec(line_strategy(), 1..8)
-    ) {
+#[test]
+fn hostile_lines_never_hang_never_kill_the_server() {
+    cases::run(CASES, FIRST_SEED, RERUN, |_, rng| {
+        let lines = rng.vec(1..8, line);
         play(&lines);
         assert_server_alive();
-    }
+    });
+}
 
-    #[test]
-    fn raw_garbage_streams_always_answered_or_closed(
-        raw in proptest::collection::vec(0u8..=255, 0..256)
-    ) {
+#[test]
+fn raw_garbage_streams_always_answered_or_closed() {
+    cases::run(CASES, FIRST_SEED, RERUN, |_, rng| {
+        let raw = rng.vec(0..256, byte);
         // No framing at all: dump raw bytes (newlines included, so
         // this may be several "lines" of pure noise), then close the
         // write half and drain. Whatever comes back must be complete
@@ -214,7 +206,7 @@ proptest! {
             let mut response = String::new();
             match reader.read_line(&mut response) {
                 Ok(0) => break,
-                Ok(_) => prop_assert!(
+                Ok(_) => assert!(
                     response.contains("\"ok\":"),
                     "noise produced a non-response line: {response}"
                 ),
@@ -223,5 +215,5 @@ proptest! {
             }
         }
         assert_server_alive();
-    }
+    });
 }
